@@ -21,22 +21,13 @@ module Make (N : Network.Intf.SWEEPABLE) = struct
     mutable proved : int;       (* SAT-proved equivalent pairs *)
     mutable refuted : int;      (* SAT counterexamples *)
     mutable unknown : int;      (* conflict budget exhausted *)
-    mutable escalated : int;    (* pairs retried on the portfolio *)
     mutable cost_skipped : int; (* proved merges rejected by the objective *)
   }
 
   let run (net : N.t) ?(trace = Obs.Trace.null) ?(cost = Cost.Spec.Area)
-      ?(num_vars = 8) ?(seed = 1) ?(conflict_budget = 2_000) ?(sat_jobs = 1)
-      () : stats =
+      ?(num_vars = 8) ?(seed = 1) ?(conflict_budget = 2_000) () : stats =
     let stats =
-      {
-        classes = 0;
-        proved = 0;
-        refuted = 0;
-        unknown = 0;
-        escalated = 0;
-        cost_skipped = 0;
-      }
+      { classes = 0; proved = 0; refuted = 0; unknown = 0; cost_skipped = 0 }
     in
     let sampling = Obs.Trace.sampling trace in
     let metrics = Obs.Metrics.of_trace trace ~algo:"fraig" in
@@ -70,7 +61,7 @@ module Make (N : Network.Intf.SWEEPABLE) = struct
     N.foreach_pi net add;
     List.iter add (T.order net);
     (* 3. prove candidate pairs on a static CNF of the whole network *)
-    let solver = Satkit.Solver.create ~config:(Satkit.Solver.env_config ()) () in
+    let solver = Satkit.Solver.create () in
     let const_var = Satkit.Solver.new_var solver in
     Satkit.Solver.add_clause solver [ Satkit.Lit.of_var const_var ~negated:true ];
     let pi_vars =
@@ -110,42 +101,6 @@ module Make (N : Network.Intf.SWEEPABLE) = struct
               in
               if Obs.Metrics.enabled metrics then
                 Obs.Metrics.observe_time h_sat (Unix.gettimeofday () -. t0);
-              (* a budget-exhausted pair is worth a second opinion: race the
-                 portfolio on a fresh single-pair miter with a larger budget
-                 before giving up on the merge *)
-              let verdict =
-                if verdict = Satkit.Solver.Unknown && sat_jobs > 1 then begin
-                  stats.escalated <- stats.escalated + 1;
-                  let o =
-                    Satkit.Portfolio.solve ~jobs:sat_jobs
-                      ~conflict_budget:(20 * conflict_budget)
-                      ~build:(fun s ->
-                        let cv = Satkit.Solver.new_var s in
-                        Satkit.Solver.add_clause s
-                          [ Satkit.Lit.of_var cv ~negated:true ];
-                        let pis =
-                          Array.init (N.num_pis net) (fun _ ->
-                              Satkit.Solver.new_var s)
-                        in
-                        let nv = C.encode_nodes (module N) net s pis cv in
-                        let lr = Satkit.Lit.of_var nv.(rep) ~negated:false in
-                        let lm =
-                          Satkit.Lit.of_var nv.(m) ~negated:flip
-                        in
-                        (* assert lr <> lm: SAT refutes, UNSAT proves *)
-                        Satkit.Solver.add_clause s [ lr; lm ];
-                        Satkit.Solver.add_clause s
-                          [ Satkit.Lit.neg lr; Satkit.Lit.neg lm ])
-                      ()
-                  in
-                  if Obs.Trace.enabled trace then
-                    Obs.Trace.race trace ~algo:"fraig"
-                      ~winner:o.Satkit.Portfolio.winner
-                      ~configs:(Satkit.Portfolio.race_counters o);
-                  o.Satkit.Portfolio.result
-                end
-                else verdict
-              in
               (match verdict with
               | Satkit.Solver.Unsat ->
                 stats.proved <- stats.proved + 1;
@@ -192,7 +147,6 @@ module Make (N : Network.Intf.SWEEPABLE) = struct
         ("proved", stats.proved);
         ("refuted", stats.refuted);
         ("unknown", stats.unknown);
-        ("escalated", stats.escalated);
         ("cost_skipped", stats.cost_skipped);
       ];
     Obs.Metrics.emit metrics trace;

@@ -8,7 +8,6 @@ type env = {
   db : Exact.Database.t;
   kernel : Algo.Resub.kernel;
   max_refactor_inputs : int;
-  sat_jobs : int;  (* > 1 races a solver portfolio in SAT-heavy passes *)
   cost : Algo.Cost.Spec.t;  (* optimization objective for every pass *)
 }
 
@@ -16,43 +15,35 @@ type env = {
    persistent on-disk store (see Exact.Store): known NPN classes are
    loaded up front and new ones appended when the driver calls
    [Exact.Database.flush]. *)
-let aig_env ?(sat_jobs = 1) ?(cost = Algo.Cost.Spec.Area) ?cache () =
+let aig_env ?(cost = Algo.Cost.Spec.Area) ?cache () =
   {
-    db =
-      Exact.Database.create ?store:cache { Exact.Synth.aig_config with sat_jobs };
+    db = Exact.Database.create ?store:cache Exact.Synth.aig_config;
     kernel = Algo.Resub.And_or;
     max_refactor_inputs = 10;
-    sat_jobs;
     cost;
   }
 
-let xag_env ?(sat_jobs = 1) ?(cost = Algo.Cost.Spec.Area) ?cache () =
+let xag_env ?(cost = Algo.Cost.Spec.Area) ?cache () =
   {
-    db =
-      Exact.Database.create ?store:cache { Exact.Synth.xag_config with sat_jobs };
+    db = Exact.Database.create ?store:cache Exact.Synth.xag_config;
     kernel = Algo.Resub.And_or_xor;
     max_refactor_inputs = 10;
-    sat_jobs;
     cost;
   }
 
-let mig_env ?(sat_jobs = 1) ?(cost = Algo.Cost.Spec.Area) ?cache () =
+let mig_env ?(cost = Algo.Cost.Spec.Area) ?cache () =
   {
-    db =
-      Exact.Database.create ?store:cache { Exact.Synth.mig_config with sat_jobs };
+    db = Exact.Database.create ?store:cache Exact.Synth.mig_config;
     kernel = Algo.Resub.Maj3;
     max_refactor_inputs = 10;
-    sat_jobs;
     cost;
   }
 
-let xmg_env ?(sat_jobs = 1) ?(cost = Algo.Cost.Spec.Area) ?cache () =
+let xmg_env ?(cost = Algo.Cost.Spec.Area) ?cache () =
   {
-    db =
-      Exact.Database.create ?store:cache { Exact.Synth.xmg_config with sat_jobs };
+    db = Exact.Database.create ?store:cache Exact.Synth.xmg_config;
     kernel = Algo.Resub.Maj3;
     max_refactor_inputs = 10;
-    sat_jobs;
     cost;
   }
 
@@ -70,7 +61,7 @@ let env_of_config (cfg : Run_config.t) =
     | Ok c -> c
     | Error e -> invalid_arg ("run config: " ^ e)
   in
-  mk ~sat_jobs:cfg.Run_config.sat_jobs ~cost ?cache:cfg.Run_config.cache ()
+  mk ~cost ?cache:cfg.Run_config.cache ()
 
 (* Snapshot the exact-synthesis database counters into the trace as
    metrics gauges (algo "exact_db"), so report/QoR tooling can see cache
@@ -151,7 +142,7 @@ module Make (N : Network.Intf.NETWORK) = struct
         (Rs.run net ~kernel:env.kernel ~trace ~cost:env.cost
            ~max_leaves:cut_size ~max_inserted ())
     | Script.Fraig ->
-      ignore (Fr.run net ~trace ~cost:env.cost ~sat_jobs:env.sat_jobs ())
+      ignore (Fr.run net ~trace ~cost:env.cost ())
 
   (* Interpret one script command as a traced span: a [pass_begin] /
      [pass_end] pair bracketing the command, carrying gate count and depth

@@ -1,4 +1,7 @@
-(* Domain-parallel map over a shared work queue.
+(* Domain-parallel map over a shared work queue: the one parallel pool.
+   Partition pieces, batch runs over several files and the
+   representation portfolio all run on it, and this is the only place
+   that spawns domains.
 
    Jobs live in one array and idle workers steal the next unclaimed index
    through a single atomic cursor — the simplest work-stealing deque
@@ -12,8 +15,7 @@
    domains: an [Engine.env] carries a mutable exact-synthesis database and
    a trace child sink is single-writer, so every worker must build its
    own.  The per-worker states are returned in worker order so the caller
-   can merge trace children deterministically (join order, like the
-   portfolio does).
+   can merge trace children deterministically.
 
    Failure model: [map_results] isolates jobs — every item yields either
    [Ok result] or [Error {index; attempts; exn; backtrace}], one bad item

@@ -9,14 +9,14 @@
    can pass any roster, including custom jobs built with [Make_job].
 
    The per-representation flows are independent — each owns its network
-   copy, its exact-synthesis environment, and its trace sink — so by
-   default they run on separate OCaml 5 domains and the portfolio costs the
-   *maximum* of the per-representation times instead of their sum (see
-   DESIGN.md, "Domain-parallel portfolio").  Conversions happen up front on
-   the calling domain because [Convert] marks traversal state on the source
-   network; sharing [baseline] across domains would race.  Each domain
-   writes only its own child sink; the parent merges them in join order, so
-   tracing needs no lock. *)
+   copy, its exact-synthesis environment, and its trace sink — so they run
+   as items of one {!Parmap} pool, and with enough domains the portfolio
+   costs the *maximum* of the per-representation times instead of their
+   sum (see DESIGN.md, "Domain-parallel portfolio").  Conversions happen up
+   front on the calling domain because [Convert] marks traversal state on
+   the source network; sharing [baseline] across domains would race.  Each
+   job writes only its own child sink; the parent merges them in roster
+   order, so tracing needs no lock. *)
 
 open Network
 
@@ -41,7 +41,7 @@ let time_it f =
 
 (* One portfolio member.  [stage] converts the baseline on the *calling*
    domain (conversion marks traversal state on the source) and returns a
-   thunk that is safe to run on a spawned domain. *)
+   thunk that is safe to run on a pool domain. *)
 module type JOB = sig
   val representation : string
   val default_env : unit -> Engine.env
@@ -123,17 +123,17 @@ let default_jobs : (module JOB) list =
    (keyed by representation name) to reuse exact-synthesis databases across
    benchmarks — they are keyed by NPN class, so they warm up once per
    process; each environment is only ever touched by its own
-   representation's domain.  [parallel:false] falls back to sequential
-   execution, e.g. for deterministic timing of the individual flows.
+   representation's job.  The jobs share one {!Parmap} pool, so at most
+   [Domain.recommended_domain_count ()] of them run at once.
 
    [config] supplies the typed run configuration: its script is used
    unless [script] overrides it, and job environments missing from [envs]
-   are built through [Engine.env_of_config] so sat-jobs and the
+   are built through [Engine.env_of_config] so the objective and the
    persistent exact-synthesis cache apply to every roster member (the
    cache path is suffixed per representation — stores are
    per-synthesis-domain). *)
 let run ?config ?script ?(k = 6) ?(envs = []) ?(jobs = default_jobs)
-    ?(parallel = true) ?(trace = Obs.Trace.null) (baseline : Aig.t) : result =
+    ?(trace = Obs.Trace.null) (baseline : Aig.t) : result =
   let script =
     match (script, config) with
     | Some s, _ -> s
@@ -166,32 +166,25 @@ let run ?config ?script ?(k = 6) ?(envs = []) ?(jobs = default_jobs)
       jobs
   in
   let entries =
-    match staged with
-    | [] -> invalid_arg "Portfolio.run: empty job list"
-    | (_, first) :: rest ->
-      if parallel then begin
-        (* first job on the calling domain, the rest on spawned domains *)
-        let spawned = List.map (fun (_, job) -> Domain.spawn job) rest in
-        let first_entry = first () in
-        first_entry :: List.map Domain.join spawned
-      end
-      else List.map (fun (_, job) -> job ()) staged
+    Array.to_list
+      (fst
+         (Parmap.map ~init:ignore
+            ~f:(fun () (_, job) -> job ())
+            (Array.of_list staged)))
   in
   Obs.Trace.merge trace (List.map fst staged);
-  (* one roster-level record so the merged trace is self-describing:
-     how many jobs ran, whether they were domain-parallel, and how many
-     hardware domains the host offers (the chrome export shows one [tid]
-     track per job flow) *)
+  (* one roster-level record so the merged trace is self-describing: how
+     many jobs ran and how many hardware domains the host offers (the
+     chrome export shows one [tid] track per job flow) *)
   Obs.Trace.report trace ~algo:"portfolio"
     [
       ("jobs", List.length staged);
-      ("parallel", if parallel then 1 else 0);
       ("recommended_domains", Domain.recommended_domain_count ());
     ];
   let best =
     match entries with
     | first :: rest ->
       List.fold_left (fun acc e -> if e.luts < acc.luts then e else acc) first rest
-    | [] -> assert false
+    | [] -> invalid_arg "Portfolio.run: empty job list"
   in
   { entries; best }

@@ -21,9 +21,7 @@ type t = {
   sample : int;  (* node-event sampling rate; 0 = off *)
   partition : int;  (* partition size cap; 0 = whole-network flow *)
   jobs : int;  (* worker domains for partition/batch parallelism *)
-  sat_jobs : int;  (* diversified SAT portfolio width; 1 = single solver *)
   budget : int;  (* CEC conflict budget; 0 = ladder default, <0 = complete *)
-  kernel : string;  (* SAT kernel: "modern" | "legacy" *)
   cost : string;  (* optimization objective spec, e.g. "area", "depth" *)
   cache : string option;  (* persistent exact-synthesis store path *)
   timeout : float;  (* wall-clock budget per network, seconds; 0 = none *)
@@ -53,9 +51,7 @@ let default =
     sample = 0;
     partition = 0;
     jobs = Domain.recommended_domain_count ();
-    sat_jobs = 1;
     budget = 0;
-    kernel = "modern";
     cost = "area";
     cache = None;
     timeout = 0.;
@@ -65,8 +61,7 @@ let default =
 
 let make ?(representation = default.representation) ?(script = default.script)
     ?trace_path ?(stats = false) ?(sample = 0) ?(partition = 0)
-    ?(jobs = default.jobs) ?(sat_jobs = 1) ?(budget = 0) ?(kernel = "modern")
-    ?(cost = default.cost) ?cache ?(timeout = 0.) ?(retries = 0) ?faults () =
+    ?(jobs = default.jobs) ?(budget = 0) ?(cost = default.cost) ?cache ?(timeout = 0.) ?(retries = 0) ?faults () =
   {
     representation;
     script;
@@ -75,9 +70,7 @@ let make ?(representation = default.representation) ?(script = default.script)
     sample;
     partition;
     jobs;
-    sat_jobs;
     budget;
-    kernel;
     cost;
     cache;
     timeout;
@@ -120,12 +113,7 @@ let with_env cfg =
     sample = int_env "GENLOG_SAMPLE" cfg.sample;
     partition = int_env "GENLOG_PARTITION" cfg.partition;
     jobs = int_env "GENLOG_JOBS" cfg.jobs;
-    sat_jobs = int_env "GENLOG_SAT_JOBS" cfg.sat_jobs;
     budget = int_env "GENLOG_BUDGET" cfg.budget;
-    kernel =
-      (match str_env "GENLOG_SAT_KERNEL" cfg.kernel with
-      | ("modern" | "legacy") as k -> k
-      | _ -> cfg.kernel);
     cost =
       (let c = str_env "GENLOG_COST" cfg.cost in
        match Algo.Cost.Spec.validate_string c with
@@ -138,21 +126,6 @@ let with_env cfg =
   }
 
 let of_env () = with_env default
-
-(* ------------------------------------------------------------ SAT kernel *)
-
-let solver_config cfg =
-  if cfg.kernel = "legacy" then Satkit.Solver.legacy_config
-  else Satkit.Solver.default_config
-
-(* Deep layers (exact synthesis, fraig) pick their kernel with
-   [Satkit.Solver.env_config] at solver-creation time; publish the
-   resolved choice so a [kernel] set through the typed config reaches
-   them too. *)
-let publish_kernel cfg =
-  if cfg.kernel = "legacy" then Unix.putenv "GENLOG_SAT_KERNEL" "legacy"
-  else if Sys.getenv_opt "GENLOG_SAT_KERNEL" <> None then
-    Unix.putenv "GENLOG_SAT_KERNEL" "modern"
 
 (* ------------------------------------------------------------------ JSON *)
 
@@ -176,13 +149,14 @@ let json_opt = function None -> "null" | Some s -> json_string s
 
 let to_json cfg =
   Printf.sprintf
-    "{\"representation\":%s,\"script\":%s,\"trace\":%s,\"stats\":%b,\"sample\":%d,\"partition\":%d,\"jobs\":%d,\"sat_jobs\":%d,\"budget\":%d,\"kernel\":%s,\"cost\":%s,\"cache\":%s,\"timeout\":%.6g,\"retries\":%d,\"faults\":%s}"
+    "{\"representation\":%s,\"script\":%s,\"trace\":%s,\"stats\":%b,\"sample\":%d,\"partition\":%d,\"jobs\":%d,\"budget\":%d,\"cost\":%s,\"cache\":%s,\"timeout\":%.6g,\"retries\":%d,\"faults\":%s}"
     (json_string (representation_to_string cfg.representation))
     (json_string cfg.script) (json_opt cfg.trace_path) cfg.stats cfg.sample
-    cfg.partition cfg.jobs cfg.sat_jobs cfg.budget (json_string cfg.kernel)
-    (json_string cfg.cost) (json_opt cfg.cache) cfg.timeout cfg.retries
-    (json_opt cfg.faults)
+    cfg.partition cfg.jobs cfg.budget (json_string cfg.cost)
+    (json_opt cfg.cache) cfg.timeout cfg.retries (json_opt cfg.faults)
 
+(* Unknown keys are ignored, so job specs written by older releases, which
+   still carry the retired SAT-portfolio width and kernel switch, load. *)
 let of_json (j : Obs.Json.t) : (t, string) result =
   match j with
   | Obs.Json.Obj _ -> (
@@ -201,12 +175,6 @@ let of_json (j : Obs.Json.t) : (t, string) result =
         | Some r -> Ok r
         | None -> Error (Printf.sprintf "unknown representation %S" s))
     in
-    let kernel =
-      match Obs.Json.str_member "kernel" j with
-      | None -> Ok default.kernel
-      | Some (("modern" | "legacy") as k) -> Ok k
-      | Some k -> Error (Printf.sprintf "unknown kernel %S" k)
-    in
     let cost =
       match Obs.Json.str_member "cost" j with
       | None -> Ok default.cost
@@ -215,9 +183,9 @@ let of_json (j : Obs.Json.t) : (t, string) result =
         | Ok () -> Ok c
         | Error e -> Error (Printf.sprintf "bad cost spec %S: %s" c e))
     in
-    match (rep, kernel, cost) with
-    | Error e, _, _ | _, Error e, _ | _, _, Error e -> Error e
-    | Ok representation, Ok kernel, Ok cost ->
+    match (rep, cost) with
+    | Error e, _ | _, Error e -> Error e
+    | Ok representation, Ok cost ->
       Ok
         {
           representation;
@@ -229,9 +197,7 @@ let of_json (j : Obs.Json.t) : (t, string) result =
           sample = int "sample" 0;
           partition = int "partition" 0;
           jobs = int "jobs" default.jobs;
-          sat_jobs = int "sat_jobs" 1;
           budget = int "budget" 0;
-          kernel;
           cost;
           cache = opt "cache";
           timeout =

@@ -21,9 +21,8 @@
      subsumption / self-subsuming strengthening, and clause vivification
      under a propagation budget.
 
-   Behaviour is controlled by a [config] record so a portfolio can run
-   diversified instances (see portfolio.ml); [legacy_config] approximates
-   the pre-modernization kernel for A/B benchmarking.
+   Behaviour is controlled by a [config] record; [legacy_config]
+   approximates the pre-modernization kernel for A/B benchmarking.
 
    The solver is used by SAT-based exact synthesis (paper §2.2.2), by
    combinational equivalence checking and by SAT sweeping. *)
@@ -33,7 +32,6 @@ type result = Sat | Unsat | Unknown
 (* -- configuration -- *)
 
 type restart_policy = Luby | Ema
-type polarity_mode = Phase_saved | Always_true | Always_false | Random_init
 
 (* [Tiered] is the modern lbd-driven scheme (core / tier2 / local);
    [Activity_half] is the MiniSat-style deletion the seed kernel used —
@@ -43,9 +41,6 @@ type reduce_strategy = Tiered | Activity_half
 type config = {
   name : string;
   restart : restart_policy;
-  polarity : polarity_mode;
-  seed : int;
-  random_decision_freq : float;  (* probability of a random branch var *)
   var_decay : float;
   clause_decay : float;
   minimize : bool;               (* learnt-clause minimization *)
@@ -60,9 +55,6 @@ let default_config =
   {
     name = "modern";
     restart = Ema;
-    polarity = Phase_saved;
-    seed = 91648253;
-    random_decision_freq = 0.0;
     var_decay = 0.95;
     clause_decay = 0.999;
     minimize = true;
@@ -75,8 +67,8 @@ let default_config =
 
 (* The pre-modernization kernel, as close as the new data structures allow:
    Luby restarts, activity-sorted deletion, no minimization, no
-   inprocessing, no blocker fast path.  Used by `bench sat` and the
-   GENLOG_SAT_KERNEL=legacy toggle for before/after comparisons. *)
+   inprocessing, no blocker fast path.  Used by `bench sat` for
+   before/after comparisons and by CEC's fault-recovery retry. *)
 let legacy_config =
   {
     default_config with
@@ -87,11 +79,6 @@ let legacy_config =
     blockers = false;
     reduce = Activity_half;
   }
-
-let env_config () =
-  match Sys.getenv_opt "GENLOG_SAT_KERNEL" with
-  | Some "legacy" -> legacy_config
-  | _ -> default_config
 
 (* -- clauses -- *)
 
@@ -170,7 +157,6 @@ let wlist_push w c b =
 
 type t = {
   config : config;
-  rng : Random.State.t;
   mutable num_vars : int;
   clauses : cvec;                        (* original problem clauses *)
   learnts : cvec;
@@ -233,7 +219,6 @@ type t = {
 let create ?(config = default_config) () =
   {
     config;
-    rng = Random.State.make [| config.seed |];
     num_vars = 0;
     clauses = cvec_make ();
     learnts = cvec_make ();
@@ -389,10 +374,6 @@ let new_var t =
   t.num_vars <- v + 1;
   ensure_var_capacity t v;
   t.assign.(v) <- -1;
-  (match t.config.polarity with
-  | Random_init -> t.polarity.(v) <- Random.State.bool t.rng
-  | Always_true -> t.polarity.(v) <- true
-  | Phase_saved | Always_false -> ());
   heap_insert t v;
   v
 
@@ -1035,26 +1016,12 @@ let luby y x =
   let size, seq = grow 1 0 in
   y ** float_of_int (shrink x size seq)
 
-let pick_branch_var t =
-  let rec go () =
-    if t.heap_size = 0 then -1
-    else begin
-      let v = heap_pop t in
-      if t.assign.(v) < 0 then v else go ()
-    end
-  in
-  let freq = t.config.random_decision_freq in
-  if freq > 0.0 && t.heap_size > 0 && Random.State.float t.rng 1.0 < freq then begin
-    let v = t.heap.(Random.State.int t.rng t.heap_size) in
-    if t.assign.(v) < 0 then v else go ()
+let rec pick_branch_var t =
+  if t.heap_size = 0 then -1
+  else begin
+    let v = heap_pop t in
+    if t.assign.(v) < 0 then v else pick_branch_var t
   end
-  else go ()
-
-let decision_polarity t v =
-  match t.config.polarity with
-  | Phase_saved | Random_init -> t.polarity.(v)
-  | Always_true -> true
-  | Always_false -> false
 
 let record_learnt t lits btlevel lbd =
   (* [btlevel] has already been clamped to the root (assumption) level by
@@ -1103,13 +1070,15 @@ let ema_restart_due t =
   end
   else false
 
-type outcome = O_sat | O_unsat | O_restart | O_budget | O_stopped
+type outcome = O_sat | O_unsat | O_restart | O_budget | O_expired
 
 (* Search below the assumption (root) level: backtracking never unassigns
    the assumptions, and a conflict at or below the root level means UNSAT
    under the current assumptions.  [restart_limit] > 0 gives a fixed-size
-   restart (Luby or stable phase); 0 means EMA-driven. *)
-let search t ~root_level ~restart_limit ~budget ~stop =
+   restart (Luby or stable phase); 0 means EMA-driven.  A wall-clock
+   [deadline] > 0 is polled every 256 steps, which keeps the syscall off
+   the hot path. *)
+let search t ~root_level ~restart_limit ~budget ~deadline =
   let conflicts_here = ref 0 in
   let result = ref None in
   let iter = ref 0 in
@@ -1153,12 +1122,10 @@ let search t ~root_level ~restart_limit ~budget ~stop =
         result := Some O_budget
       end
       else if
-        (match stop with
-        | Some f -> !iter land 255 = 0 && f ()
-        | None -> false)
+        deadline > 0. && !iter land 255 = 0 && Unix.gettimeofday () >= deadline
       then begin
         cancel_until t root_level;
-        result := Some O_stopped
+        result := Some O_expired
       end
       else if
         (if restart_limit > 0 then !conflicts_here >= restart_limit
@@ -1173,25 +1140,14 @@ let search t ~root_level ~restart_limit ~budget ~stop =
         else begin
           t.decisions <- t.decisions + 1;
           new_decision_level t;
-          enqueue t (Lit.of_var v ~negated:(not (decision_polarity t v))) None
+          enqueue t (Lit.of_var v ~negated:(not t.polarity.(v))) None
         end
       end
   done;
   match !result with Some r -> r | None -> assert false
 
-let solve ?(conflict_budget = 0) ?(assumptions = []) ?(deadline = 0.) ?stop t =
+let solve ?(conflict_budget = 0) ?(assumptions = []) ?(deadline = 0.) t =
   if Fault_core.active () then Fault_core.fire "sat.solve";
-  (* a wall-clock deadline composes into the [stop] hook the search loop
-     already polls every 256 steps; the syscall cost stays off the hot
-     path when no deadline is set *)
-  let stop =
-    if deadline > 0. then
-      Some
-        (fun () ->
-          (match stop with Some f -> f () | None -> false)
-          || Unix.gettimeofday () >= deadline)
-    else stop
-  in
   if not t.ok then Unsat
   else begin
     cancel_until t 0;
@@ -1247,10 +1203,10 @@ let solve ?(conflict_budget = 0) ?(assumptions = []) ?(deadline = 0.) ?stop t =
                 int_of_float (luby 2.0 t.stable_idx *. 512.0)
               else 0
           in
-          match search t ~root_level ~restart_limit ~budget ~stop with
+          match search t ~root_level ~restart_limit ~budget ~deadline with
           | O_sat -> Sat
           | O_unsat -> Unsat
-          | O_budget | O_stopped -> Unknown
+          | O_budget | O_expired -> Unknown
           | O_restart ->
             t.restarts <- t.restarts + 1;
             if t.config.restart = Ema && t.stab_stable then

@@ -8,8 +8,8 @@
     minimization by self-subsuming resolution, and periodic inprocessing
     (level-0 simplification, learnt-clause subsumption, vivification).
 
-    Behaviour is parameterized by a {!config} so a portfolio can run
-    diversified instances (see {!Portfolio}).
+    Behaviour is parameterized by a {!config}: {!default_config} is the
+    modern kernel, {!legacy_config} the pre-modernization baseline.
 
     Used by SAT-based exact synthesis (paper §2.2.2), combinational
     equivalence checking and SAT sweeping. *)
@@ -22,12 +22,6 @@ type result = Sat | Unsat | Unknown
 
 type restart_policy = Luby | Ema
 
-type polarity_mode =
-  | Phase_saved    (** saved phase, initially false (MiniSat default) *)
-  | Always_true    (** always branch positive *)
-  | Always_false   (** always branch negative *)
-  | Random_init    (** saved phase, randomly initialized per variable *)
-
 type reduce_strategy =
   | Tiered         (** lbd-driven core/tier2/local clause database *)
   | Activity_half  (** MiniSat-style: drop the lower-activity half *)
@@ -35,10 +29,6 @@ type reduce_strategy =
 type config = {
   name : string;
   restart : restart_policy;
-  polarity : polarity_mode;
-  seed : int;
-  random_decision_freq : float;
-      (** probability of picking a random branching variable *)
   var_decay : float;
   clause_decay : float;
   minimize : bool;     (** learnt-clause minimization *)
@@ -57,10 +47,6 @@ val legacy_config : config
 (** Approximates the pre-modernization kernel (Luby restarts,
     activity-sorted clause deletion, no minimization, no inprocessing) for
     A/B benchmarking. *)
-
-val env_config : unit -> config
-(** [default_config], or [legacy_config] when the environment variable
-    [GENLOG_SAT_KERNEL] is set to ["legacy"]. *)
 
 (** {1 Solving} *)
 
@@ -87,7 +73,6 @@ val solve :
   ?conflict_budget:int ->
   ?assumptions:Lit.t list ->
   ?deadline:float ->
-  ?stop:(unit -> bool) ->
   t ->
   result
 (** Solve the current formula.
@@ -97,10 +82,8 @@ val solve :
     - [conflict_budget] > 0 bounds the search; exceeding it yields
       [Unknown] (never a wrong answer).
     - [deadline] > 0 is an absolute wall-clock time ([Unix.gettimeofday]
-      scale); once it passes, the solve gives up with [Unknown].
-    - [stop] is polled periodically during search; once it returns [true]
-      the solve gives up with [Unknown].  Used by the portfolio for
-      first-answer-wins cancellation.
+      scale), polled periodically during search; once it passes, the
+      solve gives up with [Unknown].
 
     Under fault injection ([GENLOG_FAULTS]) this is the [sat.solve]
     point: an armed draw raises {!Fault_core.Injected} on entry.

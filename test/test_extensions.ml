@@ -1,78 +1,10 @@
-(* Tests for the extension features: fence-based exact synthesis, MIG
-   algebraic depth rewriting, and the specialized AIG rewriting path. *)
+(* Tests for the extension features: MIG algebraic depth rewriting, the
+   specialized AIG rewriting path, fraig and observability don't-cares. *)
 
 open Kitty
 open Network
 
 let tt_testable = Alcotest.testable Tt.pp Tt.equal
-
-(* -- fences -- *)
-
-let test_fence_enumeration () =
-  (* compositions of r: 2^(r-1) fences *)
-  Alcotest.(check int) "fences of 1" 1 (List.length (Exact.Synth.fences 1));
-  Alcotest.(check int) "fences of 3" 4 (List.length (Exact.Synth.fences 3));
-  Alcotest.(check int) "fences of 5" 16 (List.length (Exact.Synth.fences 5));
-  (* every fence is a valid level assignment: levels start at 0, are
-     monotone over gate indices, and increase by at most 1 *)
-  List.iter
-    (fun lv ->
-      Alcotest.(check int) "starts at level 0" 0 lv.(0);
-      Array.iteri
-        (fun i l ->
-          if i > 0 then
-            Alcotest.(check bool) "monotone" true
-              (l >= lv.(i - 1) && l <= lv.(i - 1) + 1))
-        lv)
-    (Exact.Synth.fences 5)
-
-let fence_config base = { base with Exact.Synth.strategy = Exact.Synth.Fences }
-
-let test_fence_synthesis_agrees () =
-  (* fence-based search must find the same optimal sizes *)
-  let cases =
-    [
-      Tt.(nth_var 3 0 &: nth_var 3 1 &: nth_var 3 2);
-      Tt.maj (Tt.nth_var 3 0) (Tt.nth_var 3 1) (Tt.nth_var 3 2);
-      Tt.(nth_var 3 0 ^: nth_var 3 1);
-      Tt.ite (Tt.nth_var 3 0) (Tt.nth_var 3 1) (Tt.nth_var 3 2);
-    ]
-  in
-  List.iter
-    (fun f ->
-      let size r =
-        match r with
-        | Exact.Synth.Chain c -> Exact.Chain.size c
-        | Exact.Synth.Const _ | Exact.Synth.Projection _ -> 0
-        | Exact.Synth.Failed -> -1
-      in
-      let inc = Exact.Synth.synthesize Exact.Synth.xag_config f in
-      let fen =
-        Exact.Synth.synthesize (fence_config Exact.Synth.xag_config) f
-      in
-      Alcotest.(check int)
-        ("fence = incremental for " ^ Tt.to_hex f)
-        (size inc) (size fen);
-      (match fen with
-      | Exact.Synth.Chain c ->
-        Alcotest.(check tt_testable) "fence chain simulates" f
-          (Exact.Chain.simulate c)
-      | Exact.Synth.Const _ | Exact.Synth.Projection _ | Exact.Synth.Failed ->
-        ()))
-    cases
-
-let prop_fence_sound =
-  QCheck.Test.make ~name:"fence synthesis simulates back (3 vars)" ~count:25
-    (QCheck.int_bound 255)
-    (fun v ->
-      let f = Tt.of_int64 3 (Int64.of_int v) in
-      match Exact.Synth.synthesize (fence_config Exact.Synth.aig_config) f with
-      | Exact.Synth.Const b -> Tt.equal f (if b then Tt.const1 3 else Tt.const0 3)
-      | Exact.Synth.Projection (i, c) ->
-        let p = Tt.nth_var 3 i in
-        Tt.equal f (if c then Tt.( ~: ) p else p)
-      | Exact.Synth.Chain c -> Tt.equal f (Exact.Chain.simulate c)
-      | Exact.Synth.Failed -> false)
 
 (* -- MIG algebraic depth rewriting -- *)
 
@@ -186,9 +118,6 @@ let test_specialized_rewrite_preserves () =
 
 let suite =
   [
-    Alcotest.test_case "fence enumeration" `Quick test_fence_enumeration;
-    Alcotest.test_case "fence synthesis agrees" `Quick test_fence_synthesis_agrees;
-    QCheck_alcotest.to_alcotest prop_fence_sound;
     Alcotest.test_case "mig algebraic: and-chain" `Quick test_mig_algebraic_chain;
     Alcotest.test_case "mig algebraic: adder depth" `Quick test_mig_algebraic_adder_depth;
     Alcotest.test_case "mig algebraic preserves function" `Slow test_mig_algebraic_random_preserves;

@@ -231,6 +231,48 @@ let test_trace_roundtrip () =
           Alcotest.(check (float 1e-9)) "elapsed" a.T.row_elapsed b.T.row_elapsed)
         orig rows)
 
+(* Traces written before portfolio racing was removed may carry "race"
+   events; the loader skips them, so such a trace yields exactly the pass
+   rows of the same trace without them. *)
+let test_trace_skips_retired_race () =
+  let clean = Filename.temp_file "genlog_report" ".jsonl" in
+  let old = Filename.temp_file "genlog_report_race" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove clean; Sys.remove old)
+    (fun () ->
+      T.write_file (sample_trace ()) clean;
+      let race flow =
+        Printf.sprintf
+          "{\"event\":\"race\",\"t\":0.000100,\"flow\":\"%s\",\"algo\":\"cec\",\
+           \"winner\":\"luby\",\"configs\":[{\"name\":\"luby\",\"result\":\"unsat\",\
+           \"counters\":{\"conflicts\":7,\"propagations\":50}}]}"
+          flow
+      in
+      let ic = open_in clean and oc = open_out old in
+      (* the race line goes right after the first pass_begin, inside its
+         span, where an old loader would have charged its SAT work *)
+      let placed = ref false in
+      (try
+         while true do
+           let line = input_line ic in
+           output_string oc (line ^ "\n");
+           let j = J.parse line in
+           if J.str_member "event" j = Some "pass_begin" && not !placed then begin
+             let flow = Option.value ~default:"" (J.str_member "flow" j) in
+             output_string oc (race flow ^ "\n");
+             placed := true
+           end
+         done
+       with End_of_file -> ());
+      close_in ic;
+      close_out oc;
+      Alcotest.(check bool) "race line inserted" true !placed;
+      let rows path = T.summarize (R.load_trace path) in
+      Alcotest.(check bool) "same pass rows" true (rows clean = rows old);
+      Alcotest.(check int) "same event count"
+        (List.length (T.events (R.load_trace clean)))
+        (List.length (T.events (R.load_trace old))))
+
 (* -- Chrome trace-event export -- *)
 
 let test_chrome_export () =
@@ -301,5 +343,7 @@ let suite =
     Alcotest.test_case "qor gate: cost-gated fields" `Quick
       test_check_cost_gated_fields;
     Alcotest.test_case "trace jsonl round-trip" `Quick test_trace_roundtrip;
+    Alcotest.test_case "trace loader skips retired race events" `Quick
+      test_trace_skips_retired_race;
     Alcotest.test_case "chrome export golden" `Quick test_chrome_export;
   ]

@@ -9,9 +9,9 @@ let cfg =
 let test_json_round_trip () =
   let c =
     RC.make ~representation:RC.Xmg ~script:"bz; rw; rf" ~trace_path:"t.jsonl"
-      ~stats:true ~sample:10 ~partition:500 ~jobs:3 ~sat_jobs:2 ~budget:1000
-      ~kernel:"legacy" ~cost:"depth" ~cache:"/tmp/store.glxs" ~timeout:1.5
-      ~retries:2 ~faults:"parmap.job:0.1,sat.solve:1:2" ()
+      ~stats:true ~sample:10 ~partition:500 ~jobs:3 ~budget:1000 ~cost:"depth"
+      ~cache:"/tmp/store.glxs" ~timeout:1.5 ~retries:2
+      ~faults:"parmap.job:0.1,sat.solve:1:2" ()
   in
   match RC.of_json_string (RC.to_json c) with
   | Ok c' -> Alcotest.check cfg "round-trips" c c'
@@ -27,15 +27,35 @@ let test_json_rejects_unknown () =
   (match RC.of_json_string "{\"representation\":\"zzz\"}" with
   | Ok _ -> Alcotest.fail "accepted unknown representation"
   | Error _ -> ());
-  (match RC.of_json_string "{\"kernel\":\"quantum\"}" with
-  | Ok _ -> Alcotest.fail "accepted unknown kernel"
-  | Error _ -> ());
   (match RC.of_json_string "{\"cost\":\"bogus\"}" with
   | Ok _ -> Alcotest.fail "accepted unknown cost spec"
   | Error _ -> ());
   match RC.of_json_string "[1,2]" with
   | Ok _ -> Alcotest.fail "accepted non-object"
   | Error _ -> ()
+
+(* A job spec from before the SAT portfolio and kernel switch were
+   removed: the retired "sat_jobs" and "kernel" keys are ignored, every
+   other field loads, and the result round-trips. *)
+let test_json_retired_knobs () =
+  let old_spec =
+    "{\"representation\":\"xmg\",\"script\":\"bz; rw; rf\",\"trace\":\"t.jsonl\",\
+     \"stats\":true,\"sample\":10,\"partition\":500,\"jobs\":3,\"sat_jobs\":2,\
+     \"budget\":1000,\"kernel\":\"legacy\",\"cost\":\"depth\",\
+     \"cache\":\"/tmp/store.glxs\",\"timeout\":1.5,\"retries\":2,\"faults\":null}"
+  in
+  let expected =
+    RC.make ~representation:RC.Xmg ~script:"bz; rw; rf" ~trace_path:"t.jsonl"
+      ~stats:true ~sample:10 ~partition:500 ~jobs:3 ~budget:1000 ~cost:"depth"
+      ~cache:"/tmp/store.glxs" ~timeout:1.5 ~retries:2 ()
+  in
+  match RC.of_json_string old_spec with
+  | Error e -> Alcotest.fail e
+  | Ok c -> (
+    Alcotest.check cfg "retired knobs ignored" expected c;
+    match RC.of_json_string (RC.to_json c) with
+    | Ok c' -> Alcotest.check cfg "round-trips" c c'
+    | Error e -> Alcotest.fail e)
 
 let with_env kvs f =
   let saved = List.map (fun (k, _) -> (k, Sys.getenv_opt k)) kvs in
@@ -50,10 +70,8 @@ let with_env kvs f =
 let test_env_overrides () =
   with_env
     [
-      ("GENLOG_SAT_JOBS", "3");
       ("GENLOG_PARTITION", "250");
       ("GENLOG_CACHE", "/tmp/env_store.glxs");
-      ("GENLOG_SAT_KERNEL", "legacy");
       ("GENLOG_JOBS", "not-a-number");
       ("GENLOG_TIMEOUT", "2.5");
       ("GENLOG_RETRIES", "3");
@@ -61,13 +79,11 @@ let test_env_overrides () =
     ]
     (fun () ->
       let c = RC.of_env () in
-      Alcotest.(check int) "sat_jobs from env" 3 c.RC.sat_jobs;
       Alcotest.(check int) "partition from env" 250 c.RC.partition;
       Alcotest.(check (option string))
         "cache from env"
         (Some "/tmp/env_store.glxs")
         c.RC.cache;
-      Alcotest.(check string) "kernel from env" "legacy" c.RC.kernel;
       Alcotest.(check (float 1e-9)) "timeout from env" 2.5 c.RC.timeout;
       Alcotest.(check int) "retries from env" 3 c.RC.retries;
       Alcotest.(check (option string))
@@ -98,22 +114,12 @@ let test_env_cost () =
 let test_env_layering () =
   (* env overrides defaults, explicit values override env *)
   with_env
-    [ ("GENLOG_SAT_JOBS", "7") ]
+    [ ("GENLOG_BUDGET", "7") ]
     (fun () ->
       let base = RC.of_env () in
-      Alcotest.(check int) "env wins over default" 7 base.RC.sat_jobs;
-      let explicit = { base with RC.sat_jobs = 2 } in
-      Alcotest.(check int) "explicit wins over env" 2 explicit.RC.sat_jobs)
-
-let test_solver_config () =
-  let legacy = RC.solver_config { RC.default with RC.kernel = "legacy" } in
-  let modern = RC.solver_config RC.default in
-  Alcotest.(check string)
-    "legacy kernel" Satkit.Solver.legacy_config.Satkit.Solver.name
-    legacy.Satkit.Solver.name;
-  Alcotest.(check string)
-    "modern kernel" Satkit.Solver.default_config.Satkit.Solver.name
-    modern.Satkit.Solver.name
+      Alcotest.(check int) "env wins over default" 7 base.RC.budget;
+      let explicit = { base with RC.budget = 2 } in
+      Alcotest.(check int) "explicit wins over env" 2 explicit.RC.budget)
 
 let test_representation_strings () =
   List.iter
@@ -131,10 +137,11 @@ let suite =
     Alcotest.test_case "json round-trip" `Quick test_json_round_trip;
     Alcotest.test_case "json defaults" `Quick test_json_defaults;
     Alcotest.test_case "json rejects unknown" `Quick test_json_rejects_unknown;
+    Alcotest.test_case "json ignores retired knobs" `Quick
+      test_json_retired_knobs;
     Alcotest.test_case "env overrides" `Quick test_env_overrides;
     Alcotest.test_case "env cost spec" `Quick test_env_cost;
     Alcotest.test_case "env layering" `Quick test_env_layering;
-    Alcotest.test_case "solver config" `Quick test_solver_config;
     Alcotest.test_case "representation strings" `Quick
       test_representation_strings;
   ]

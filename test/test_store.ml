@@ -148,6 +148,22 @@ let test_domain_mismatch_detaches () =
   Alcotest.(check int) "original store untouched" n l.Exact.Store.loaded;
   Sys.remove path
 
+(* The fingerprints of the four shipped configs are pinned: a change to
+   [Synth.config] or to the hash would silently detach every existing
+   store file, so it must show up here first. *)
+let test_fingerprints_pinned () =
+  List.iter
+    (fun (name, config, expected) ->
+      Alcotest.(check int32)
+        (name ^ " fingerprint") expected
+        (Exact.Store.fingerprint config))
+    [
+      ("aig", Exact.Synth.aig_config, 0x9ec88cf0l);
+      ("xag", Exact.Synth.xag_config, 0x8a6e75cfl);
+      ("mig", Exact.Synth.mig_config, 0x8a0691ael);
+      ("xmg", Exact.Synth.xmg_config, 0x7176e086l);
+    ]
+
 (* -- injected crash points (the GENLOG_FAULTS registry) -- *)
 
 let with_faults spec f =
@@ -220,6 +236,8 @@ let suite =
       test_compaction_preserves;
     Alcotest.test_case "domain mismatch detaches" `Quick
       test_domain_mismatch_detaches;
+    Alcotest.test_case "shipped config fingerprints pinned" `Quick
+      test_fingerprints_pinned;
     Alcotest.test_case "injected torn append heals" `Quick
       test_injected_torn_append;
     Alcotest.test_case "injected compact crash keeps original" `Quick

@@ -1,10 +1,9 @@
 (* Tests for the solver-depth telemetry layer and the cross-run history:
-   Solver snapshot monotonicity under both kernels, race-event emission
-   and per-pass SAT aggregation in Trace.summarize, history
+   Solver snapshot monotonicity under both kernels, per-pass SAT
+   aggregation in Trace.summarize, history
    append/rolling-median/regression logic, and the HTML dashboard's
    golden structure. *)
 
-open Network
 module T = Obs.Trace
 module H = Obs.History
 module J = Obs.Json
@@ -92,51 +91,8 @@ let test_snapshot_modern () =
 let test_snapshot_legacy () =
   check_snapshot_monotone Solver.legacy_config "legacy"
 
-(* -- race events: emission by CEC and aggregation by summarize -- *)
-
-module C = Algo.Cec.Make (Aig) (Aig)
-module S = Lsgen.Suite.Make (Aig)
-
-let test_cec_race_event () =
-  let net = S.build "ctrl" in
-  let trace = T.create ~flow:"eq" () in
-  T.pass_begin trace ~pass:"cec" ~index:0 ~gates:1 ~depth:1;
-  let result = C.check ~trace ~jobs:2 net net in
-  T.pass_end trace ~pass:"cec" ~index:0 ~gates:1 ~depth:1 ~elapsed:0.01 ();
-  Alcotest.(check bool) "self-equivalent" true (result = Algo.Cec.Equivalent);
-  let races =
-    List.filter_map
-      (function
-        | T.Race { algo; winner; configs; _ } -> Some (algo, winner, configs)
-        | _ -> None)
-      (T.events trace)
-  in
-  (match races with
-  | [ (algo, winner, configs) ] ->
-    Alcotest.(check string) "race algo" "cec" algo;
-    Alcotest.(check bool) "winner among configs" true
-      (List.exists (fun (n, _, _) -> n = winner) configs);
-    Alcotest.(check bool) "two workers recorded" true
-      (List.length configs = 2);
-    (* the winner's counters are present and the result is decisive *)
-    let _, res, counters =
-      List.find (fun (n, _, _) -> n = winner) configs
-    in
-    Alcotest.(check string) "winner result" "unsat" res;
-    Alcotest.(check bool) "winner has counter payload" true
-      (List.mem_assoc "conflicts" counters)
-  | l -> Alcotest.failf "expected exactly one race event, got %d" (List.length l));
-  (* summarize folds the race into the enclosing span *)
-  match T.summarize trace with
-  | [ row ] ->
-    Alcotest.(check (list (pair string int))) "winner tally" row.T.row_races
-      (match races with
-      | [ (_, winner, _) ] -> [ (winner, 1) ]
-      | _ -> [])
-  | rows -> Alcotest.failf "expected one pass row, got %d" (List.length rows)
-
-(* Hand-built event stream: gauges and races from child flows must fold
-   into the nearest open ancestor span, without double counting. *)
+(* Hand-built event stream: gauges from the span's own flow and from child
+   flows must fold into the nearest open ancestor span. *)
 let test_summarize_sat_attribution () =
   let events =
     [
@@ -149,15 +105,12 @@ let test_summarize_sat_attribution () =
           gauges = [ ("solver_conflicts", 5); ("solver_propagations", 100) ];
           hists = [];
         };
-      (* a race: all configs' work counts, winner is tallied *)
-      T.Race
+      (* and a second solver on the span's own flow *)
+      T.Metrics
         {
-          t = 0.2; flow = "opt"; algo = "exact"; winner = "luby";
-          configs =
-            [
-              ("luby", "unsat", [ ("conflicts", 7); ("propagations", 50) ]);
-              ("default", "unknown", [ ("conflicts", 3); ("propagations", 30) ]);
-            ];
+          t = 0.2; flow = "opt"; algo = "exact"; counters = [];
+          gauges = [ ("solver_conflicts", 10); ("solver_propagations", 80) ];
+          hists = [];
         };
       T.Pass_end
         {
@@ -168,41 +121,10 @@ let test_summarize_sat_attribution () =
   in
   match T.summarize (T.of_events events) with
   | [ row ] ->
-    Alcotest.(check int) "conflicts summed" (5 + 7 + 3) row.T.row_sat_conflicts;
-    Alcotest.(check int) "propagations summed" (100 + 50 + 30)
-      row.T.row_sat_propagations;
-    Alcotest.(check (list (pair string int))) "winner tally" [ ("luby", 1) ]
-      row.T.row_races
+    Alcotest.(check int) "conflicts summed" (5 + 10) row.T.row_sat_conflicts;
+    Alcotest.(check int) "propagations summed" (100 + 80)
+      row.T.row_sat_propagations
   | rows -> Alcotest.failf "expected one row, got %d" (List.length rows)
-
-(* Race events survive the JSONL round trip (trace.ml renders, report.ml
-   parses). *)
-let test_race_jsonl_roundtrip () =
-  let trace = T.create ~flow:"x" () in
-  T.race trace ~algo:"cec" ~winner:"neg"
-    ~configs:
-      [
-        ("neg", "sat", [ ("conflicts", 42) ]);
-        ("default", "unknown", [ ("conflicts", 17) ]);
-      ];
-  let path = Filename.temp_file "race" ".jsonl" in
-  T.write_file trace path;
-  let parsed = Obs.Report.load_trace path in
-  Sys.remove path;
-  match T.events parsed with
-  | [ T.Race { algo; winner; configs; _ } ] ->
-    Alcotest.(check string) "algo" "cec" algo;
-    Alcotest.(check string) "winner" "neg" winner;
-    (match configs with
-    | [ (n1, r1, c1); (n2, r2, _) ] ->
-      Alcotest.(check string) "config 1 name" "neg" n1;
-      Alcotest.(check string) "config 1 result" "sat" r1;
-      Alcotest.(check (list (pair string int))) "config 1 counters"
-        [ ("conflicts", 42) ] c1;
-      Alcotest.(check string) "config 2 name" "default" n2;
-      Alcotest.(check string) "config 2 result" "unknown" r2
-    | l -> Alcotest.failf "expected 2 configs, got %d" (List.length l))
-  | _ -> Alcotest.fail "expected exactly one race event after round trip"
 
 (* Empty / meta-only traces degrade to a clean message, not a table. *)
 let test_empty_trace_graceful () =
@@ -344,10 +266,11 @@ let test_html_structure () =
     T.of_events
       [
         T.Pass_begin { t = 0.0; flow = "aig"; pass = "rw"; index = 0; gates = 10; depth = 3 };
-        T.Race
+        T.Metrics
           {
-            t = 0.1; flow = "aig"; algo = "cec"; winner = "luby";
-            configs = [ ("luby", "unsat", [ ("conflicts", 4); ("propagations", 9) ]) ];
+            t = 0.1; flow = "aig"; algo = "cec"; counters = [];
+            gauges = [ ("solver_conflicts", 4); ("solver_propagations", 9) ];
+            hists = [];
           };
         T.Pass_end
           { t = 0.2; flow = "aig"; pass = "rw"; index = 0; gates = 8; depth = 3;
@@ -380,8 +303,9 @@ let test_html_structure () =
       Alcotest.(check bool) ("anchor " ^ anchor) true
         (contains (Printf.sprintf "id=\"%s\"" anchor)))
     [ "meta"; "passes"; "sat"; "bench"; "history" ];
-  (* content made it in: race winner, bench row, sparkline *)
-  Alcotest.(check bool) "race winner shown" true (contains "luby");
+  (* content made it in: SAT totals, bench row, sparkline *)
+  Alcotest.(check bool) "sat conflicts shown" true
+    (contains "conflicts <b>4</b>");
   Alcotest.(check bool) "benchmark row shown" true (contains "voter");
   Alcotest.(check bool) "sparkline svg" true (contains "<svg class=\"spark\"");
   (* self-contained: no external requests of any kind *)
@@ -396,12 +320,8 @@ let suite =
       test_snapshot_modern;
     Alcotest.test_case "snapshot monotone (legacy kernel)" `Quick
       test_snapshot_legacy;
-    Alcotest.test_case "cec portfolio emits race event" `Quick
-      test_cec_race_event;
     Alcotest.test_case "summarize attributes SAT work to spans" `Quick
       test_summarize_sat_attribution;
-    Alcotest.test_case "race event jsonl round trip" `Quick
-      test_race_jsonl_roundtrip;
     Alcotest.test_case "empty trace renders gracefully" `Quick
       test_empty_trace_graceful;
     Alcotest.test_case "exact synthesis telemetry counters" `Quick
