@@ -11,6 +11,7 @@
      dune exec bench/main.exe cost       -- cost-objective matrix, CEC-checked
      dune exec bench/main.exe partition  -- partition-parallel engine vs sequential
      dune exec bench/main.exe sat        -- CDCL kernel on CEC miters (legacy vs modern)
+     dune exec bench/main.exe npn-table [DIR] -- regenerate the shipped NPN tables
 
    Every subcommand additionally writes a machine-readable
    [BENCH_<name>.json] (benchmark, stage, nodes, levels, LUTs, seconds)
@@ -332,73 +333,67 @@ let cost_bench () =
   Bench_json.write "cost" (List.rev !rows)
 
 (* -------------------------------------------------------------------- *)
-(* Cache: the persistent exact-synthesis store, cold vs warm.  A cold    *)
-(* phase populates the store over the smoke suite; a warm phase reloads  *)
-(* it in a fresh database and must re-synthesize nothing (misses = 0);   *)
-(* a corrupt phase tears the store's tail off and must still load with   *)
-(* entries skipped, never fail.  The counters land in BENCH_cache.json   *)
-(* (aggregate rows benchmark="all") and CI gates on them.                *)
+(* NPN table: the exact database the library ships.  Every canonical    *)
+(* NPN class of 0..4 variables (243) is synthesized under each           *)
+(* representation's preset config, budgets included, on the Parmap      *)
+(* pool; one store per representation is written to DIR (default        *)
+(* lib/exact), sorted, so a rerun reproduces the files byte for byte.    *)
 (* -------------------------------------------------------------------- *)
 
-let cache_bench () =
-  print_endline "=== Cache: persistent exact-synthesis store, cold vs warm ===";
-  let store =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "genlog_bench_cache_%d.glxs" (Unix.getpid ()))
+let npn_table dir =
+  print_endline "=== NPN table: exact synthesis of every <=4-input class ===";
+  let classes =
+    List.concat_map
+      (fun n ->
+        let seen = Hashtbl.create 256 in
+        for i = 0 to (1 lsl (1 lsl n)) - 1 do
+          let canonical, _ = Npn.canonize (Tt.of_int64 n (Int64.of_int i)) in
+          Hashtbl.replace seen (Tt.to_hex canonical) canonical
+        done;
+        List.sort Tt.compare (Hashtbl.fold (fun _ f acc -> f :: acc) seen []))
+      [ 4; 3; 2; 1; 0 ]
   in
-  if Sys.file_exists store then Sys.remove store;
-  let module F = Flow.Make (Aig) in
-  let benchmarks = [ "ctrl"; "cavlc"; "int2float"; "dec"; "router" ] in
-  let rows = ref [] in
-  Printf.printf "%-10s | %8s %8s %8s %8s %8s %8s\n" "stage" "hits" "misses"
-    "classes" "loaded" "skipped" "time";
-  let phase stage =
-    let cfg = { Flow.Run_config.default with Flow.Run_config.cache = Some store } in
-    let env = Flow.env_of_config cfg in
-    let total = ref 0.0 in
-    List.iter
-      (fun name ->
-        let baseline = Suite.build name in
-        let opt, seconds =
-          time_it (fun () -> F.run_script env baseline Script.compress2rs)
-        in
-        total := !total +. seconds;
-        rows :=
-          row name stage
-            [ ("nodes", Bench_json.Int (Aig.num_gates opt));
-              ("levels", Bench_json.Int (D.depth opt));
-              ("seconds", Bench_json.Float seconds) ]
-          :: !rows)
-      benchmarks;
-    Database.flush env.Flow.db;
-    let db = env.Flow.db in
-    let si = Database.store_info db in
-    Printf.printf "%-10s | %8d %8d %8d %8d %8d %7.2fs\n%!" stage
-      (Database.hits db) (Database.misses db) (Database.size db)
-      si.Database.loaded si.Database.skipped !total;
-    rows :=
-      row "all" stage
-        [ ("hits", Bench_json.Int (Database.hits db));
-          ("misses", Bench_json.Int (Database.misses db));
-          ("classes", Bench_json.Int (Database.size db));
-          ("loaded", Bench_json.Int si.Database.loaded);
-          ("skipped", Bench_json.Int si.Database.skipped);
-          ("flushed", Bench_json.Int si.Database.flushed);
-          ("seconds", Bench_json.Float !total) ]
-      :: !rows;
-    db
+  let domains =
+    [ ("aig", Exact_synth.aig_config); ("xag", Exact_synth.xag_config);
+      ("mig", Exact_synth.mig_config); ("xmg", Exact_synth.xmg_config) ]
   in
-  let _cold = phase "cold" in
-  let warm_db = phase "warm" in
-  (* tear the last few bytes off the store: the loader must skip the torn
-     entry with a warning and keep everything before it *)
-  let size = (Unix.stat store).Unix.st_size in
-  Unix.truncate store (max 12 (size - 5));
-  let _corrupt = phase "corrupt" in
-  Runmeta.set_cache (Database.obs_gauges warm_db);
-  Bench_json.write "cache" (List.rev !rows);
-  try Sys.remove store with Sys_error _ -> ()
+  let jobs =
+    Array.of_list
+      (List.concat_map
+         (fun (name, config) -> List.map (fun f -> (name, config, f)) classes)
+         domains)
+  in
+  Printf.printf "%d classes x %d representations on %d domains\n%!"
+    (List.length classes) (List.length domains)
+    (Domain.recommended_domain_count ());
+  let results, _ =
+    Flow.Parmap.map
+      ~init:(fun _ -> ())
+      ~f:(fun () (_, config, f) ->
+        time_it (fun () -> Exact_synth.synthesize config f))
+      jobs
+  in
+  Printf.printf "%-4s | %7s %9s %6s %9s\n" "rep" "classes" "synth" "failed" "bytes";
+  List.iter
+    (fun (name, config) ->
+      let entries = ref [] and seconds = ref 0.0 and failed = ref 0 in
+      Array.iteri
+        (fun i (rep, _, f) ->
+          if rep = name then begin
+            let result, t = results.(i) in
+            seconds := !seconds +. t;
+            if result = Exact_synth.Failed then incr failed;
+            entries :=
+              { Exact_store.num_vars = Tt.num_vars f; key = Tt.to_hex f; result }
+              :: !entries
+          end)
+        jobs;
+      let path = Filename.concat dir (Printf.sprintf "npn4_%s.glxs" name) in
+      Exact_store.write ~config path !entries;
+      Printf.printf "%-4s | %7d %8.1fs %6d %9d  %s\n%!" name
+        (List.length !entries) !seconds !failed
+        (Unix.stat path).Unix.st_size path)
+    domains
 
 (* -------------------------------------------------------------------- *)
 (* Partition: sequential flow vs the partition-parallel engine on the    *)
@@ -818,7 +813,8 @@ let () =
   | "smoke" -> smoke ()
   | "partition" -> partition_bench ()
   | "sat" -> sat_bench ()
-  | "cache" -> cache_bench ()
+  | "npn-table" ->
+    npn_table (if Array.length Sys.argv > 2 then Sys.argv.(2) else "lib/exact")
   | "cost" -> cost_bench ()
   | "all" ->
     micro ();
@@ -827,11 +823,10 @@ let () =
     table2 ();
     ablation ();
     partition_bench ();
-    sat_bench ();
-    cache_bench ()
+    sat_bench ()
   | other ->
     Printf.eprintf
       "unknown bench target %s \
-       (table1|table2|micro|cuts|ablation|smoke|partition|sat|cache|cost|all)\n"
+       (table1|table2|micro|cuts|ablation|smoke|partition|sat|cost|npn-table|all)\n"
       other;
     exit 1

@@ -113,18 +113,6 @@ let jobs_arg =
               several input files (default: the runtime's recommended \
               domain count).")
 
-let cache_arg =
-  Arg.(
-    value
-    & opt (some string) base_cfg.RC.cache
-    & info [ "cache" ] ~docv:"PATH"
-        ~doc:"Persistent exact-synthesis store: NPN-class results are \
-              loaded from $(docv) on start and newly synthesized classes \
-              are appended once at exit, so warm runs skip SAT-based \
-              re-synthesis entirely. The file is keyed to the synthesis \
-              domain by a fingerprinted header; a mismatched or corrupt \
-              store is skipped with a warning, never an error.")
-
 let cost_arg =
   Arg.(
     value
@@ -169,8 +157,8 @@ let faults_arg =
 
 (* SIGINT/SIGTERM wind-down: the handler only sets a flag; the engine's
    stop hooks and the batch pool notice it at the next pass / item
-   boundary, the epilogue still flushes the store and finalizes the
-   trace, and the process exits 128+signum. *)
+   boundary, the epilogue still finalizes the trace, and the process
+   exits 128+signum. *)
 let interrupted = Atomic.make 0
 let stop_requested () = Atomic.get interrupted <> 0
 
@@ -247,7 +235,7 @@ let opt_cmd =
   let files =
     Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE"
          ~doc:"Input AIGER file(s). Several files form a batch: all of \
-               them run through one process sharing one warm \
+               them run through one process sharing one \
                exact-synthesis database.")
   in
   let output =
@@ -260,7 +248,7 @@ let opt_cmd =
                 $(i,FILE).opt.aag next to each input).")
   in
   let run files rep script output trace_file stats sample partition jobs
-      cache cost timeout retries faults =
+      cost timeout retries faults =
     let representation =
       match rep with
       | `Aig -> RC.Aig
@@ -275,7 +263,7 @@ let opt_cmd =
       exit 2);
     let cfg =
       RC.make ~representation ~script ?trace_path:trace_file ~stats ~sample
-        ~partition ~jobs ~budget:base_cfg.RC.budget ~cost ?cache ~timeout
+        ~partition ~jobs ~budget:base_cfg.RC.budget ~cost ~timeout
         ~retries ?faults ()
     in
     (* stamp the objective into trace meta and BENCH headers *)
@@ -373,27 +361,17 @@ let opt_cmd =
       ref [||]
     in
     (* Everything that must survive a job failure or an interrupt lives in
-       the [finally]: the store flush (so paid-for exact synthesis results
-       persist), the trace write-out, and the stats.  The body only
+       the [finally]: the trace write-out and the stats.  The body only
        computes results and writes outputs. *)
     let epilogue () =
       if many then Genlog.Trace.merge trace (List.map snd items);
-      (* one store flush for the whole batch *)
-      Genlog.Database.flush env.Genlog.Flow.db;
-      (match cfg.RC.cache with
-      | Some path ->
-        let db = env.Genlog.Flow.db in
-        let si = Genlog.Database.store_info db in
-        Printf.eprintf
-          "cache %s: %d classes (%d loaded, %d skipped, %d appended), %d \
-           hits, %d misses\n\
-           %!"
-          path (Genlog.Database.size db) si.Genlog.Database.loaded
-          si.Genlog.Database.skipped si.Genlog.Database.flushed
-          (Genlog.Database.hits db)
-          (Genlog.Database.misses db);
-        Genlog.Runmeta.set_cache (Genlog.Database.obs_gauges db)
-      | None -> ());
+      let db = env.Genlog.Flow.db in
+      let gauges = Genlog.Database.obs_gauges db in
+      Genlog.Runmeta.set_exact_db ~source:(Genlog.Database.source db) gauges;
+      if cfg.RC.stats then
+        Printf.eprintf "exact_db: source=%s %s\n%!" (Genlog.Database.source db)
+          (String.concat " "
+             (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) gauges));
       Genlog.Flow.emit_db_metrics env trace;
       (if Genlog.Fault.active () then
          let counters =
@@ -490,7 +468,7 @@ let opt_cmd =
          else "");
     (* exit codes: 0 ok, 1 everything failed, 3 partial batch failure,
        4 clean but degraded output, 128+signum on interrupt (after the
-       epilogue flushed the store and finalized the trace) *)
+       epilogue finalized the trace) *)
     let code =
       if Atomic.get interrupted <> 0 then Atomic.get interrupted
       else if !n_ok = 0 && !n_failed > 0 then 1
@@ -503,10 +481,10 @@ let opt_cmd =
   Cmd.v
     (Cmd.info "opt"
        ~doc:"Optimize with the generic resynthesis flow (batch mode: pass \
-             several FILEs to amortize exact synthesis across them)")
+             several FILEs to optimize them in one process)")
     Term.(const run $ files $ representation $ script_arg $ output $ trace_arg
-          $ stats_flag $ sample_arg $ partition_arg $ jobs_arg $ cache_arg
-          $ cost_arg $ timeout_arg $ retries_arg $ faults_arg)
+          $ stats_flag $ sample_arg $ partition_arg $ jobs_arg $ cost_arg
+          $ timeout_arg $ retries_arg $ faults_arg)
 
 (* -- map -- *)
 

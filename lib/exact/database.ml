@@ -1,28 +1,26 @@
 (* NPN-keyed database of optimal chains.
 
    Rewriting asks for the optimum implementation of millions of cut
-   functions, but only a few hundred NPN classes occur (222 classes for all
-   4-variable functions).  Each class is synthesized at most once per
-   process; the result — or the fact that synthesis gave up — is cached
-   under the canonical truth table.  This realizes option (ii) of paper
-   §2.3.2, exact synthesis on the fly, with the cache standing in for
-   mockturtle's precomputed database.
+   functions, but only a few hundred NPN classes occur: 243 canonical
+   classes cover every function of at most 4 variables, rewriting's cut
+   size.  The library ships the synthesis result of every one of them for
+   each representation's preset config (Synth.aig/xag/mig/xmg_config),
+   generated once by [bench npn-table] with this repository's own exact
+   synthesizer and embedded in the binary (Shipped_tables).  This is
+   option (i) of paper §2.3.2, a precomputed database.
 
-   The cache is domain-safe: accesses are mutex-guarded so one database
-   can be shared across parallel workers (the portfolio's domains, the
-   partition engine's work-stealing pool), which matters because the
-   expensive part — SAT-based synthesis of a cold class — would otherwise
-   be repeated once per worker.  Synthesis itself runs *outside* the lock:
-   two workers missing different classes synthesize concurrently, and the
-   rare race where both miss the same class costs one duplicated synthesis
-   (the first inserted result wins), never a wrong answer.
+   [create config] pre-fills the table from the shipped store whose
+   fingerprint equals [config]'s; a config with no shipped table (another
+   budget, say) starts empty.  Either way a lookup that misses falls back
+   to option (ii), exact synthesis on the fly, and caches the result — or
+   the fact that synthesis gave up — under the canonical truth table.
 
-   A database can additionally be attached to an on-disk {!Store}: known
-   classes are merged in at attach time (existing in-memory entries win,
-   preserving first-insert-wins across the process/disk boundary) and
-   classes synthesized since the last flush are appended by [flush] — one
-   append per batch, not per class, so a batch run pays the write cost
-   once at exit. *)
+   The database is domain-safe: accesses are mutex-guarded so one
+   database can be shared across parallel workers (the partition engine's
+   work-stealing pool).  Synthesis of a miss runs *outside* the lock: two
+   workers missing different classes synthesize concurrently, and the
+   rare race where both miss the same class costs one duplicated
+   synthesis (the first inserted result wins), never a wrong answer. *)
 
 open Kitty
 
@@ -33,12 +31,9 @@ type t = {
   mutable hits : int;
   mutable misses : int;
   mutable failures : int;
-  (* persistence; [store_path = None] means detached (no disk traffic) *)
-  mutable store_path : string option;
-  mutable pending : Store.entry list; (* newest first; flushed in order *)
-  mutable loaded : int; (* entries merged from the store at attach *)
-  mutable skipped : int; (* corrupt/truncated entries the load passed over *)
-  mutable flushed : int; (* entries appended to the store so far *)
+  source : string; (* "shipped", or "none" for a config with no table *)
+  loaded : int; (* entries pre-filled from the shipped table *)
+  skipped : int; (* shipped entries that failed the store's checks *)
 }
 
 (* Cache keys carry the variable count: a bare hex string is ambiguous
@@ -53,48 +48,65 @@ let split_key k =
       String.sub k (i + 1) (String.length k - i - 1) )
   | None -> invalid_arg "Database.split_key"
 
-let attach db path =
-  let l = Store.load ~config:db.config path in
-  Mutex.lock db.lock;
-  if l.Store.domain_ok then begin
-    db.store_path <- Some path;
-    List.iter
-      (fun (e : Store.entry) ->
-        let k = key_of e.Store.num_vars e.Store.key in
-        if not (Hashtbl.mem db.cache k) then
-          Hashtbl.replace db.cache k e.Store.result)
-      l.Store.entries;
-    db.loaded <- db.loaded + l.Store.loaded
-  end;
-  db.skipped <- db.skipped + l.Store.skipped;
-  Mutex.unlock db.lock
+(* The shipped tables go through the same checks as any store (CRC,
+   decode, fingerprint, semantic validity) and are decoded at most once
+   per process, on first use. *)
+let shipped_lock = Mutex.create ()
+let shipped_decoded : (string, Store.load_result) Hashtbl.t = Hashtbl.create 4
 
-let create ?store config =
-  let db =
-    {
-      config;
-      cache = Hashtbl.create 512;
-      lock = Mutex.create ();
-      hits = 0;
-      misses = 0;
-      failures = 0;
-      store_path = None;
-      pending = [];
-      loaded = 0;
-      skipped = 0;
-      flushed = 0;
-    }
+let shipped config =
+  let fp = Some (Store.fingerprint config) in
+  match
+    List.find_opt
+      (fun (_, data) -> Store.header_fingerprint data = fp)
+      Shipped_tables.tables
+  with
+  | None -> None
+  | Some (name, data) ->
+    Mutex.lock shipped_lock;
+    let l =
+      match Hashtbl.find_opt shipped_decoded name with
+      | Some l -> l
+      | None ->
+        let l =
+          Store.of_string ~config ~source:("shipped " ^ name ^ " table") data
+        in
+        Hashtbl.replace shipped_decoded name l;
+        l
+    in
+    Mutex.unlock shipped_lock;
+    Some l
+
+let create config =
+  let cache = Hashtbl.create 512 in
+  let source, loaded, skipped =
+    match shipped config with
+    | Some l ->
+      List.iter
+        (fun (e : Store.entry) ->
+          Hashtbl.replace cache (key_of e.Store.num_vars e.Store.key)
+            e.Store.result)
+        l.Store.entries;
+      ("shipped", l.Store.loaded, l.Store.skipped)
+    | None -> ("none", 0, 0)
   in
-  (match store with Some path -> attach db path | None -> ());
-  db
+  {
+    config;
+    cache;
+    lock = Mutex.create ();
+    hits = 0;
+    misses = 0;
+    failures = 0;
+    source;
+    loaded;
+    skipped;
+  }
 
 (* Result for the *canonical* representative of [f]'s NPN class, plus the
    transform mapping [f] to that representative. *)
 let lookup db f =
   let canonical, tr = Npn.canonize f in
-  let num_vars = Tt.num_vars canonical in
-  let hex = Tt.to_hex canonical in
-  let key = key_of num_vars hex in
+  let key = key_of (Tt.num_vars canonical) (Tt.to_hex canonical) in
   Mutex.lock db.lock;
   match Hashtbl.find_opt db.cache key with
   | Some e ->
@@ -112,85 +124,31 @@ let lookup db f =
       | None ->
         if e = Synth.Failed then db.failures <- db.failures + 1;
         Hashtbl.replace db.cache key e;
-        if db.store_path <> None then
-          db.pending <- { Store.num_vars; key = hex; result = e } :: db.pending;
         e
     in
     Mutex.unlock db.lock;
     (e, tr)
-
-let flush db =
-  Mutex.lock db.lock;
-  let path = db.store_path in
-  let batch = List.rev db.pending in
-  db.pending <- [];
-  Mutex.unlock db.lock;
-  match path with
-  | Some p when batch <> [] ->
-    if Store.append ~config:db.config p batch then begin
-      Mutex.lock db.lock;
-      db.flushed <- db.flushed + List.length batch;
-      Mutex.unlock db.lock
-    end
-  | _ -> ()
-
-let compact db =
-  match db.store_path with
-  | None -> ()
-  | Some p ->
-    Mutex.lock db.lock;
-    let entries =
-      Hashtbl.fold
-        (fun k result acc ->
-          let num_vars, key = split_key k in
-          { Store.num_vars; key; result } :: acc)
-        db.cache []
-    in
-    db.pending <- [] (* the cache is a superset of pending *);
-    Mutex.unlock db.lock;
-    Store.compact ~config:db.config p entries
 
 let with_lock db f =
   Mutex.lock db.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock db.lock) f
 
 let size db = with_lock db (fun () -> Hashtbl.length db.cache)
-let hits db = db.hits
 let misses db = db.misses
 let failures db = db.failures
 let stats db = (db.hits, db.misses, db.failures)
-
-type store_info = {
-  path : string option;
-  loaded : int;
-  skipped : int;
-  flushed : int;
-  pending : int;
-}
-
-let store_info db =
-  with_lock db (fun () ->
-      {
-        path = db.store_path;
-        loaded = db.loaded;
-        skipped = db.skipped;
-        flushed = db.flushed;
-        pending = List.length db.pending;
-      })
+let source db = db.source
 
 (* Counter snapshot in the shape the obs layer wants (metrics gauges, the
-   run-metadata cache block). *)
+   run-metadata exact_db block, which adds [source]). *)
 let obs_gauges db =
-  let si = store_info db in
   [
     ("classes", size db);
+    ("loaded", db.loaded);
+    ("skipped", db.skipped);
     ("hits", db.hits);
     ("misses", db.misses);
     ("failures", db.failures);
-    ("store_loaded", si.loaded);
-    ("store_skipped", si.skipped);
-    ("store_flushed", si.flushed);
-    ("store_pending", si.pending);
   ]
 
 let pp_stats fmt db =

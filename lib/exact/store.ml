@@ -1,16 +1,11 @@
-(* On-disk persistence for the exact-synthesis database.
+(* Binary file format of the exact-synthesis database.
 
-   Format and crash-safety argument are documented in store.mli and
-   DESIGN.md.  Invariants the code below maintains:
-
-   - the header (magic + domain fingerprint) is written once, by whichever
-     process creates the file (O_CREAT|O_EXCL decides the race);
-   - entries are appended as self-delimiting checksummed frames, one
-     frame per write(2) on an O_APPEND descriptor;
-   - reading validates every frame (checksum, decode, semantic check of
-     the decoded network against its key) and skips what fails — a store
-     file can make a load slower or smaller, never wrong, and never
-     crashes the process. *)
+   Format and the reading rules are documented in store.mli and DESIGN.md.
+   Reading validates every frame (checksum, decode, semantic check of the
+   decoded network against its key) and skips what fails — a store can
+   make a database smaller, never wrong, and never crashes the process.
+   Writing is one whole-file encode, sorted, so a table regenerated from
+   the same results is byte-identical. *)
 
 open Kitty
 
@@ -30,19 +25,18 @@ let max_payload = 1 lsl 24 (* sanity bound when reading length fields *)
 (* ---------------------------------------------------------------- CRC-32 *)
 
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xedb88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref (Int32.of_int n) in
+      for _ = 0 to 7 do
+        c :=
+          if Int32.logand !c 1l <> 0l then
+            Int32.logxor 0xedb88320l (Int32.shift_right_logical !c 1)
+          else Int32.shift_right_logical !c 1
+      done;
+      !c)
 
 let crc32 s =
-  let table = Lazy.force crc_table in
+  let table = crc_table in
   let c = ref 0xffffffffl in
   String.iter
     (fun ch ->
@@ -211,7 +205,8 @@ let valid (e : entry) =
          | g -> Tt.equal f g
          | exception _ -> false))
 
-(* ------------------------------------------------------------------- load *)
+
+(* ------------------------------------------------------------------- read *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -221,176 +216,87 @@ let read_file path =
 
 let empty_load = { entries = []; loaded = 0; skipped = 0; domain_ok = true }
 
-let load ~config path =
-  if not (Sys.file_exists path) then empty_load
+let header_fingerprint data =
+  if
+    String.length data < header_size
+    || String.sub data 0 (String.length magic) <> magic
+  then None
+  else Some (String.get_int32_le data (String.length magic))
+
+let of_string ~config ?(source = "store") data =
+  let n = String.length data in
+  if n = 0 then empty_load
   else
-    let data = read_file path in
-    let n = String.length data in
-    if n = 0 then empty_load
-    else if
-      n < header_size || String.sub data 0 (String.length magic) <> magic
-    then begin
-      warn path "unrecognized header; ignoring store";
+    match header_fingerprint data with
+    | None ->
+      warn source "unrecognized header; ignoring store";
       { empty_load with domain_ok = false }
-    end
-    else
-      let fp = String.get_int32_le data (String.length magic) in
-      let want = fingerprint config in
-      if fp <> want then begin
-        warn path
-          "synthesis-domain fingerprint mismatch (store %08lx, config %08lx); \
-           ignoring store"
-          fp want;
-        { empty_load with domain_ok = false }
-      end
-      else begin
-        let entries = ref [] in
-        let loaded = ref 0 in
-        let skipped = ref 0 in
-        let pos = ref header_size in
-        let stop = ref false in
-        while (not !stop) && !pos + 8 <= n do
-          let len = Int32.to_int (String.get_int32_le data !pos) in
-          let crc = String.get_int32_le data (!pos + 4) in
-          if len < 0 || len > max_payload || !pos + 8 + len > n then begin
-            (* implausible length or not enough bytes left: a torn tail
-               write (or corruption of the length field itself) — nothing
-               after this point can be re-framed reliably *)
-            incr skipped;
-            stop := true
-          end
-          else begin
-            let payload = String.sub data (!pos + 8) len in
-            (if crc32 payload <> crc then incr skipped
-             else
-               match decode_entry payload with
-               | exception Corrupt -> incr skipped
-               | e ->
-                 if valid e then begin
-                   entries := e :: !entries;
-                   incr loaded
-                 end
-                 else incr skipped);
-            pos := !pos + 8 + len
-          end
-        done;
-        if (not !stop) && !pos < n then incr skipped (* trailing runt *);
-        if !skipped > 0 then
-          warn path "skipped %d corrupt or truncated entr%s (%d loaded)"
-            !skipped
-            (if !skipped = 1 then "y" else "ies")
-            !loaded;
-        {
-          entries = List.rev !entries;
-          loaded = !loaded;
-          skipped = !skipped;
-          domain_ok = true;
-        }
-      end
+    | Some fp when fp <> fingerprint config ->
+      warn source
+        "synthesis-domain fingerprint mismatch (store %08lx, config %08lx); \
+         ignoring store"
+        fp (fingerprint config);
+      { empty_load with domain_ok = false }
+    | Some _ ->
+      let entries = ref [] in
+      let loaded = ref 0 in
+      let skipped = ref 0 in
+      let pos = ref header_size in
+      let stop = ref false in
+      while (not !stop) && !pos + 8 <= n do
+        let len = Int32.to_int (String.get_int32_le data !pos) in
+        let crc = String.get_int32_le data (!pos + 4) in
+        if len < 0 || len > max_payload || !pos + 8 + len > n then begin
+          (* implausible length or not enough bytes left: a torn tail
+             write (or corruption of the length field itself) — nothing
+             after this point can be re-framed reliably *)
+          incr skipped;
+          stop := true
+        end
+        else begin
+          let payload = String.sub data (!pos + 8) len in
+          (if crc32 payload <> crc then incr skipped
+           else
+             match decode_entry payload with
+             | exception Corrupt -> incr skipped
+             | e ->
+               if valid e then begin
+                 entries := e :: !entries;
+                 incr loaded
+               end
+               else incr skipped);
+          pos := !pos + 8 + len
+        end
+      done;
+      if (not !stop) && !pos < n then incr skipped (* trailing runt *);
+      if !skipped > 0 then
+        warn source "skipped %d corrupt or truncated entr%s (%d loaded)"
+          !skipped
+          (if !skipped = 1 then "y" else "ies")
+          !loaded;
+      {
+        entries = List.rev !entries;
+        loaded = !loaded;
+        skipped = !skipped;
+        domain_ok = true;
+      }
 
-(* ----------------------------------------------------------------- append *)
+(* ------------------------------------------------------------------ write *)
 
-let write_all fd s =
-  let b = Bytes.unsafe_of_string s in
-  let n = Bytes.length b in
-  let off = ref 0 in
-  while !off < n do
-    off := !off + Unix.write fd b !off (n - !off)
-  done
-
-let header fp =
-  let b = Buffer.create header_size in
+let to_string ~config entries =
+  let sorted =
+    List.sort_uniq
+      (fun a b -> compare (a.num_vars, a.key) (b.num_vars, b.key))
+      entries
+  in
+  let b = Buffer.create 4096 in
   Buffer.add_string b magic;
-  Buffer.add_int32_le b fp;
+  Buffer.add_int32_le b (fingerprint config);
+  List.iter (fun e -> Buffer.add_string b (frame (encode e))) sorted;
   Buffer.contents b
 
-(* Create the file with its header iff it does not exist; O_EXCL makes the
-   filesystem arbitrate when several processes race to create it. *)
-let ensure_header path fp =
-  match
-    Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL ] 0o644
-  with
-  | fd ->
-    Fun.protect
-      ~finally:(fun () -> Unix.close fd)
-      (fun () -> write_all fd (header fp))
-  | exception Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-
-let read_header path =
-  let ic = open_in_bin path in
+let write ~config path entries =
+  let oc = open_out_bin path in
   Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      if in_channel_length ic < header_size then Error "short header"
-      else
-        let h = really_input_string ic header_size in
-        if String.sub h 0 (String.length magic) <> magic then
-          Error "unrecognized header"
-        else Ok (String.get_int32_le h (String.length magic)))
-
-let append ~config path entries =
-  if entries = [] then true
-  else begin
-    let fp = fingerprint config in
-    match ensure_header path fp with
-    | exception Unix.Unix_error (e, _, _) ->
-      warn path "cannot create store: %s" (Unix.error_message e);
-      false
-    | () -> (
-      match read_header path with
-      | Error msg ->
-        warn path "%s; not appending" msg;
-        false
-      | Ok fp' when fp' <> fp ->
-        warn path "synthesis-domain fingerprint mismatch; not appending";
-        false
-      | Ok _ -> (
-        match Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644 with
-        | exception Unix.Unix_error (e, _, _) ->
-          warn path "cannot append: %s" (Unix.error_message e);
-          false
-        | fd ->
-          Fun.protect
-            ~finally:(fun () -> Unix.close fd)
-            (fun () ->
-              (* [store.append] fault point: simulate a crash mid-write by
-                 emitting half of one frame and stopping — exactly the torn
-                 tail that [load] is built to skip *)
-              let torn = ref false in
-              List.iter
-                (fun e ->
-                  if not !torn then begin
-                    let fr = frame (encode e) in
-                    if Fault_core.active () && Fault_core.hit "store.append"
-                    then begin
-                      write_all fd (String.sub fr 0 (String.length fr / 2));
-                      torn := true
-                    end
-                    else write_all fd fr
-                  end)
-                entries);
-          true))
-  end
-
-(* ---------------------------------------------------------------- compact *)
-
-let compact ~config path entries =
-  let tmp = Printf.sprintf "%s.compact.%d.tmp" path (Unix.getpid ()) in
-  let fd =
-    Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-  in
-  (try
-     write_all fd (header (fingerprint config));
-     List.iter (fun e -> write_all fd (frame (encode e))) entries;
-     Unix.fsync fd;
-     Unix.close fd
-   with exn ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise exn);
-  (* [store.compact] fault point: simulate a crash after the temp file is
-     durable but before the rename commits — the original store must
-     survive untouched (which is the whole point of tmp+fsync+rename) *)
-  if Fault_core.active () && Fault_core.hit "store.compact" then
-    try Sys.remove tmp with Sys_error _ -> ()
-  else Unix.rename tmp path
+    ~finally:(fun () -> close_out oc)
+    (fun () -> output_string oc (to_string ~config entries))

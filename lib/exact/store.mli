@@ -1,12 +1,12 @@
-(** Append-only on-disk persistence for the exact-synthesis database.
+(** Binary file format of the exact-synthesis database.
 
-    The store is a binary log of NPN-class -> synthesis-result records.
-    The file layout is
+    A store is a table of NPN-class -> synthesis-result records.  The
+    layout is
 
     {v
       "GLXS0001"            8-byte magic (format version in the name)
       fingerprint           u32 LE, CRC-32 of the synthesis domain
-      entry*                frames appended over time
+      entry*                one frame per NPN class
     v}
 
     where each entry frame is
@@ -17,18 +17,16 @@
       payload               one encoded entry
     v}
 
-    Crash safety comes from the append-only discipline: every state of the
-    file is a valid store plus at most one torn tail frame, which [load]
-    skips with a warning.  Frames whose checksum does not match are skipped
-    individually (the length field still delimits them).  Concurrent
-    appenders open the file in [O_APPEND] mode and write whole frames in
-    one [write], so interleaved appends from several processes never
-    corrupt each other's records.
+    The library ships one store per representation, generated once by
+    [bench npn-table] and embedded in the binary (see {!Database}).
+    Reading never trusts the bytes: a frame whose checksum, decoding or
+    semantic check fails is skipped, and a torn tail ends the read, each
+    with a warning.
 
     The fingerprint pins the store to a synthesis domain (arity, operator
     set, gate and conflict budgets): results are only valid answers for the
-    configuration that produced them, so [load] refuses — without touching
-    the file — when the fingerprint disagrees. *)
+    configuration that produced them, so [of_string] ignores a store whose
+    fingerprint disagrees. *)
 
 type entry = {
   num_vars : int;  (** variables of the canonical table *)
@@ -50,23 +48,25 @@ val fingerprint : Synth.config -> int32
     reusable under the budgets that produced it): every field of
     {!Synth.config}. *)
 
-val load : config:Synth.config -> string -> load_result
-(** Read a store file.  A missing or empty file is an empty store.  A file
-    with a foreign magic or a mismatched fingerprint is ignored
-    ([domain_ok = false], warning on stderr).  Corrupt frames and a torn
-    tail are skipped with a warning; [load] never raises on bad content. *)
+val header_fingerprint : string -> int32 option
+(** The fingerprint in a store's header, [None] without a valid magic. *)
 
-val append : config:Synth.config -> string -> entry list -> bool
-(** Append entries, creating the file (with its header) if needed.
-    Returns [false] — with a warning, without writing — when the existing
-    file belongs to a different domain.  Each entry is written as one
-    [write] on an [O_APPEND] descriptor, so concurrent appenders
-    interleave at frame granularity. *)
+val read_file : string -> string
+(** The whole file as a string. *)
 
-val compact : config:Synth.config -> string -> entry list -> unit
-(** Rewrite the store to exactly [entries]: fresh header and frames are
-    written to a temporary file, fsync'd, then atomically renamed over
-    [path] — a crash leaves either the old or the new store, never a mix. *)
+val of_string : config:Synth.config -> ?source:string -> string -> load_result
+(** Decode a store.  An empty string is an empty store.  A foreign magic
+    or a mismatched fingerprint ignores the store ([domain_ok = false],
+    warning on stderr naming [source]).  Corrupt frames and a torn tail
+    are skipped with a warning; [of_string] never raises on bad
+    content. *)
+
+val to_string : config:Synth.config -> entry list -> string
+(** Encode a store: header, then one frame per entry sorted by
+    [(num_vars, key)], so the same entries always give the same bytes. *)
+
+val write : config:Synth.config -> string -> entry list -> unit
+(** Write [to_string ~config entries] to a file, replacing it. *)
 
 val crc32 : string -> int32
 (** CRC-32 (IEEE 802.3) of a string; exposed for tests. *)

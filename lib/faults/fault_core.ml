@@ -4,7 +4,7 @@
    guarded by [active ()]); tests and the nightly fuzz harness arm them
    with a spec string:
 
-     GENLOG_FAULTS="parmap.job:0.25,store.append:1,sat.solve:1:2"
+     GENLOG_FAULTS="parmap.job:0.25,engine.pass:1,sat.solve:1:2"
 
    Each entry is [point:rate[:max_fires]] where [rate] is a firing
    probability in [0,1] and the optional [max_fires] caps how many times

@@ -11,37 +11,35 @@ type env = {
   cost : Algo.Cost.Spec.t;  (* optimization objective for every pass *)
 }
 
-(* Per-representation presets.  [cache] attaches the database to a
-   persistent on-disk store (see Exact.Store): known NPN classes are
-   loaded up front and new ones appended when the driver calls
-   [Exact.Database.flush]. *)
-let aig_env ?(cost = Algo.Cost.Spec.Area) ?cache () =
+(* Per-representation presets.  Each database starts pre-filled from the
+   NPN table shipped for its config (see Exact.Database). *)
+let aig_env ?(cost = Algo.Cost.Spec.Area) () =
   {
-    db = Exact.Database.create ?store:cache Exact.Synth.aig_config;
+    db = Exact.Database.create Exact.Synth.aig_config;
     kernel = Algo.Resub.And_or;
     max_refactor_inputs = 10;
     cost;
   }
 
-let xag_env ?(cost = Algo.Cost.Spec.Area) ?cache () =
+let xag_env ?(cost = Algo.Cost.Spec.Area) () =
   {
-    db = Exact.Database.create ?store:cache Exact.Synth.xag_config;
+    db = Exact.Database.create Exact.Synth.xag_config;
     kernel = Algo.Resub.And_or_xor;
     max_refactor_inputs = 10;
     cost;
   }
 
-let mig_env ?(cost = Algo.Cost.Spec.Area) ?cache () =
+let mig_env ?(cost = Algo.Cost.Spec.Area) () =
   {
-    db = Exact.Database.create ?store:cache Exact.Synth.mig_config;
+    db = Exact.Database.create Exact.Synth.mig_config;
     kernel = Algo.Resub.Maj3;
     max_refactor_inputs = 10;
     cost;
   }
 
-let xmg_env ?(cost = Algo.Cost.Spec.Area) ?cache () =
+let xmg_env ?(cost = Algo.Cost.Spec.Area) () =
   {
-    db = Exact.Database.create ?store:cache Exact.Synth.xmg_config;
+    db = Exact.Database.create Exact.Synth.xmg_config;
     kernel = Algo.Resub.Maj3;
     max_refactor_inputs = 10;
     cost;
@@ -61,10 +59,10 @@ let env_of_config (cfg : Run_config.t) =
     | Ok c -> c
     | Error e -> invalid_arg ("run config: " ^ e)
   in
-  mk ~cost ?cache:cfg.Run_config.cache ()
+  mk ~cost ()
 
 (* Snapshot the exact-synthesis database counters into the trace as
-   metrics gauges (algo "exact_db"), so report/QoR tooling can see cache
+   metrics gauges (algo "exact_db"), so report/QoR tooling can see database
    behaviour per run. *)
 let emit_db_metrics (env : env) trace =
   if Obs.Trace.enabled trace then begin

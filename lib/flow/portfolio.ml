@@ -128,10 +128,8 @@ let default_jobs : (module JOB) list =
 
    [config] supplies the typed run configuration: its script is used
    unless [script] overrides it, and job environments missing from [envs]
-   are built through [Engine.env_of_config] so the objective and the
-   persistent exact-synthesis cache apply to every roster member (the
-   cache path is suffixed per representation — stores are
-   per-synthesis-domain). *)
+   are built through [Engine.env_of_config] so the objective applies to
+   every roster member. *)
 let run ?config ?script ?(k = 6) ?(envs = []) ?(jobs = default_jobs)
     ?(trace = Obs.Trace.null) (baseline : Aig.t) : result =
   let script =
@@ -149,12 +147,7 @@ let run ?config ?script ?(k = 6) ?(envs = []) ?(jobs = default_jobs)
           Run_config.representation_of_string J.representation )
       with
       | Some c, Some representation ->
-        let cache =
-          Option.map
-            (fun p -> p ^ "." ^ J.representation)
-            c.Run_config.cache
-        in
-        Engine.env_of_config { c with Run_config.representation; cache }
+        Engine.env_of_config { c with Run_config.representation }
       | _ -> J.default_env ())
   in
   let staged =

@@ -23,7 +23,6 @@ type t = {
   jobs : int;  (* worker domains for partition/batch parallelism *)
   budget : int;  (* CEC conflict budget; 0 = ladder default, <0 = complete *)
   cost : string;  (* optimization objective spec, e.g. "area", "depth" *)
-  cache : string option;  (* persistent exact-synthesis store path *)
   timeout : float;  (* wall-clock budget per network, seconds; 0 = none *)
   retries : int;  (* extra attempts for a failed batch/partition job *)
   faults : string option;  (* fault-injection spec (see Fault), testing only *)
@@ -53,7 +52,6 @@ let default =
     jobs = Domain.recommended_domain_count ();
     budget = 0;
     cost = "area";
-    cache = None;
     timeout = 0.;
     retries = 0;
     faults = None;
@@ -61,7 +59,7 @@ let default =
 
 let make ?(representation = default.representation) ?(script = default.script)
     ?trace_path ?(stats = false) ?(sample = 0) ?(partition = 0)
-    ?(jobs = default.jobs) ?(budget = 0) ?(cost = default.cost) ?cache ?(timeout = 0.) ?(retries = 0) ?faults () =
+    ?(jobs = default.jobs) ?(budget = 0) ?(cost = default.cost) ?(timeout = 0.) ?(retries = 0) ?faults () =
   {
     representation;
     script;
@@ -72,7 +70,6 @@ let make ?(representation = default.representation) ?(script = default.script)
     jobs;
     budget;
     cost;
-    cache;
     timeout;
     retries;
     faults;
@@ -119,7 +116,6 @@ let with_env cfg =
        match Algo.Cost.Spec.validate_string c with
        | Ok () -> c
        | Error _ -> cfg.cost);
-    cache = opt_env "GENLOG_CACHE" cfg.cache;
     timeout = float_env "GENLOG_TIMEOUT" cfg.timeout;
     retries = int_env "GENLOG_RETRIES" cfg.retries;
     faults = opt_env "GENLOG_FAULTS" cfg.faults;
@@ -149,14 +145,15 @@ let json_opt = function None -> "null" | Some s -> json_string s
 
 let to_json cfg =
   Printf.sprintf
-    "{\"representation\":%s,\"script\":%s,\"trace\":%s,\"stats\":%b,\"sample\":%d,\"partition\":%d,\"jobs\":%d,\"budget\":%d,\"cost\":%s,\"cache\":%s,\"timeout\":%.6g,\"retries\":%d,\"faults\":%s}"
+    "{\"representation\":%s,\"script\":%s,\"trace\":%s,\"stats\":%b,\"sample\":%d,\"partition\":%d,\"jobs\":%d,\"budget\":%d,\"cost\":%s,\"timeout\":%.6g,\"retries\":%d,\"faults\":%s}"
     (json_string (representation_to_string cfg.representation))
     (json_string cfg.script) (json_opt cfg.trace_path) cfg.stats cfg.sample
     cfg.partition cfg.jobs cfg.budget (json_string cfg.cost)
-    (json_opt cfg.cache) cfg.timeout cfg.retries (json_opt cfg.faults)
+    cfg.timeout cfg.retries (json_opt cfg.faults)
 
 (* Unknown keys are ignored, so job specs written by older releases, which
-   still carry the retired SAT-portfolio width and kernel switch, load. *)
+   still carry the retired SAT-portfolio width and kernel switch or the
+   retired on-disk exact-synthesis store path ("cache"), load. *)
 let of_json (j : Obs.Json.t) : (t, string) result =
   match j with
   | Obs.Json.Obj _ -> (
@@ -199,7 +196,6 @@ let of_json (j : Obs.Json.t) : (t, string) result =
           jobs = int "jobs" default.jobs;
           budget = int "budget" 0;
           cost;
-          cache = opt "cache";
           timeout =
             Option.value ~default:default.timeout
               (Obs.Json.num_member "timeout" j);

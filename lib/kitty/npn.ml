@@ -75,30 +75,75 @@ let permutations n =
 
 let exhaustive_limit = 5
 
-(* Exhaustive canonization: minimum over all 2^n * n! * 2 transforms. *)
+(* Exhaustive canonization: minimum over all 2^n * n! * 2 transforms.
+
+   Up to [exhaustive_limit] variables a table fits in one native int, so
+   the search runs on ints: [f]'s minterm [j] lands on minterm
+   [spread.(p).(j lxor flips)] of the transformed table, where
+   [spread.(p)] moves bit [i] of a minterm to position [perm.(i)] — the
+   composition [apply] performs with [Tt.flip] and [Tt.permute].
+   Transforms are tried in the order of a search that calls [apply] on
+   each (permutations, then flips, the output flip last) under strict
+   comparisons, so the result, transform included, is that search's.
+   The tables are built once at start-up (154 permutations in all). *)
+let perms_by_n =
+  Array.init (exhaustive_limit + 1) (fun n -> Array.of_list (permutations n))
+
+let spread_by_n =
+  Array.map
+    (Array.map (fun perm ->
+         let n = Array.length perm in
+         Array.init (1 lsl n) (fun k ->
+             let m = ref 0 in
+             for i = 0 to n - 1 do
+               if (k lsr i) land 1 = 1 then m := !m lor (1 lsl perm.(i))
+             done;
+             !m)))
+    perms_by_n
+
 let canonize_exhaustive f =
   let n = Tt.num_vars f in
   if n > exhaustive_limit then
     invalid_arg "Npn.canonize_exhaustive: too many variables";
-  let perms = permutations n in
-  let best = ref (Tt.copy f) and best_tr = ref (identity n) in
-  List.iter
-    (fun perm ->
-      for flips = 0 to (1 lsl n) - 1 do
-        let tr0 = { perm; flips; out_flip = false } in
-        let g0 = apply tr0 f in
-        if Tt.compare g0 !best < 0 then begin
+  let num_minterms = 1 lsl n in
+  let mask = (1 lsl num_minterms) - 1 in
+  let fi = Int64.to_int (Tt.to_int64 f) in
+  let best = ref fi and best_p = ref (-1) and best_flips = ref 0 in
+  let best_out = ref false in
+  Array.iteri
+    (fun p spread ->
+      for flips = 0 to num_minterms - 1 do
+        let g0 = ref 0 in
+        for j = 0 to num_minterms - 1 do
+          if (fi lsr j) land 1 = 1 then
+            g0 := !g0 lor (1 lsl spread.(j lxor flips))
+        done;
+        let g0 = !g0 in
+        if g0 < !best then begin
           best := g0;
-          best_tr := tr0
+          best_p := p;
+          best_flips := flips;
+          best_out := false
         end;
-        let g1 = Tt.( ~: ) g0 in
-        if Tt.compare g1 !best < 0 then begin
+        let g1 = g0 lxor mask in
+        if g1 < !best then begin
           best := g1;
-          best_tr := { tr0 with out_flip = true }
+          best_p := p;
+          best_flips := flips;
+          best_out := true
         end
       done)
-    perms;
-  (!best, !best_tr)
+    spread_by_n.(n);
+  let tr =
+    if !best_p < 0 then identity n
+    else
+      {
+        perm = Array.copy perms_by_n.(n).(!best_p);
+        flips = !best_flips;
+        out_flip = !best_out;
+      }
+  in
+  (Tt.of_int64 n (Int64.of_int !best), tr)
 
 (* Memoized canonization for 4-variable functions — the hot path of cut
    rewriting.  The table is filled lazily, keyed by the 16-bit truth table. *)

@@ -7,7 +7,7 @@
 
    Living in the obs library (rather than next to the bench driver) makes
    the schema-v2 runmeta header a property of the writer itself: every
-   subcommand that goes through [write] — sat and cache included — is
+   subcommand that goes through [write] — sat included — is
    stamped identically, which is what keys the history log. *)
 
 type value = Int of int | Float of float | Str of string
@@ -32,9 +32,9 @@ let write name (rows : (string * value) list list) =
   let oc = open_out file in
   (* run metadata first: commit, compiler, domain count, schema — the
      fields [report --check] needs to compare two BENCH files honestly *)
-  let cache =
-    match Runmeta.cache_json () with
-    | Some c -> Printf.sprintf "  \"cache\": %s,\n" c
+  let exact_db =
+    match Runmeta.exact_db_json () with
+    | Some c -> Printf.sprintf "  \"exact_db\": %s,\n" c
     | None -> ""
   in
   let cost =
@@ -46,7 +46,7 @@ let write name (rows : (string * value) list list) =
     "{\n  \"bench\": \"%s\",\n  %s,\n%s%s  \"generated_unix\": %.0f,\n  \"rows\": [\n"
     (escape name)
     (Runmeta.json_fields ())
-    cache cost (Unix.time ());
+    exact_db cost (Unix.time ());
   List.iteri
     (fun i row ->
       if i > 0 then output_string oc ",\n";

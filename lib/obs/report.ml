@@ -219,15 +219,24 @@ let pp_bench fmt (j : Json.t) =
   let rows = bench_rows j in
   let name = Option.value ~default:"?" (Json.str_member "bench" j) in
   Format.fprintf fmt "bench %s (%d rows)@." name (List.length rows);
-  (match Json.member "cache" j with
-  | Some (Json.Obj kvs) ->
-    Format.fprintf fmt "cache: %s@."
-      (String.concat " "
-         (List.filter_map
-            (fun (k, v) ->
-              Option.map (fun n -> Printf.sprintf "%s=%.0f" k n) (Json.to_num v))
-            kvs))
-  | _ -> ());
+  (* "cache" is the block older releases wrote for their on-disk store *)
+  List.iter
+    (fun block ->
+      match Json.member block j with
+      | Some (Json.Obj kvs) ->
+        Format.fprintf fmt "%s: %s@." block
+          (String.concat " "
+             (List.filter_map
+                (fun (k, v) ->
+                  match v with
+                  | Json.Str s -> Some (Printf.sprintf "%s=%s" k s)
+                  | v ->
+                    Option.map
+                      (fun n -> Printf.sprintf "%s=%.0f" k n)
+                      (Json.to_num v))
+                kvs))
+      | _ -> ())
+    [ "exact_db"; "cache" ];
   Format.fprintf fmt "%-14s %-14s  %s@." "benchmark" "stage" "fields";
   List.iter
     (fun r ->

@@ -52,28 +52,31 @@ let escape s =
     s;
   Buffer.contents b
 
-(* Optional per-run cache block: counters of the exact-synthesis store
-   (hits, misses, loaded, flushed, ...) stamped by the driver via
-   [set_cache].  Rendered into the trace meta line and BENCH headers only
-   when set, so schema-v2 consumers that predate the block are
-   unaffected. *)
-let cache_fields : (string * int) list option ref = ref None
-let set_cache kvs = cache_fields := Some kvs
+(* Optional per-run exact_db block: where the exact-synthesis database
+   came from ([source]: "shipped" or "none") and its counters (classes
+   loaded and skipped, hits, misses, failures), stamped by the driver via
+   [set_exact_db].  Rendered into the trace meta line and BENCH headers
+   only when set, so schema-v2 consumers that predate the block are
+   unaffected.  Artifacts of older releases carry a "cache" block (the
+   retired on-disk store) instead; readers skip or print it as is. *)
+let exact_db_fields : (string * (string * int) list) option ref = ref None
+let set_exact_db ~source kvs = exact_db_fields := Some (source, kvs)
 
-let cache_json () =
+let exact_db_json () =
   Option.map
-    (fun kvs ->
+    (fun (source, kvs) ->
       "{"
       ^ String.concat ","
-          (List.map
-             (fun (k, v) -> Printf.sprintf "\"%s\":%d" (escape k) v)
-             kvs)
+          (Printf.sprintf "\"source\":\"%s\"" (escape source)
+          :: List.map
+               (fun (k, v) -> Printf.sprintf "\"%s\":%d" (escape k) v)
+               kvs)
       ^ "}")
-    !cache_fields
+    !exact_db_fields
 
 (* Optional cost-objective spec ("area", "depth", "weights:FILE", ...)
    stamped by the driver via [set_cost]; rendered into the trace meta line
-   and BENCH headers only when set, mirroring the cache block, so the QoR
+   and BENCH headers only when set, mirroring the exact_db block, so the QoR
    gate ([Report.check]) can refuse to compare runs optimized for
    different objectives. *)
 let cost_field : string option ref = ref None

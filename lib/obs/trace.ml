@@ -320,9 +320,9 @@ let json_of_event = function
       t (escape flow) (escape pass) (escape reason) (escape detail)
 
 let meta_line () =
-  let cache =
-    match Runmeta.cache_json () with
-    | Some c -> Printf.sprintf ",\"cache\":%s" c
+  let exact_db =
+    match Runmeta.exact_db_json () with
+    | Some c -> Printf.sprintf ",\"exact_db\":%s" c
     | None -> ""
   in
   let cost =
@@ -331,7 +331,7 @@ let meta_line () =
     | None -> ""
   in
   Printf.sprintf "{\"event\":\"meta\",%s%s%s,\"generated_unix\":%.0f}"
-    (Runmeta.json_fields ()) cache cost (Unix.time ())
+    (Runmeta.json_fields ()) exact_db cost (Unix.time ())
 
 let write_channel t oc =
   output_string oc (meta_line ());

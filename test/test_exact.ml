@@ -95,7 +95,11 @@ let prop_synth_sound_mig =
       | Exact.Synth.Failed -> false)
 
 let test_database_caching () =
-  let db = Exact.Database.create Exact.Synth.xag_config in
+  (* a budget with no shipped table: the database starts empty *)
+  let config = { Exact.Synth.xag_config with Exact.Synth.max_gates = 9 } in
+  let db = Exact.Database.create config in
+  Alcotest.(check string) "no shipped table" "none" (Exact.Database.source db);
+  Alcotest.(check int) "starts empty" 0 (Exact.Database.size db);
   let a = Tt.nth_var 4 0 and b = Tt.nth_var 4 1 in
   let f = Tt.(a &: b) in
   let r1, _ = Exact.Database.lookup db f in

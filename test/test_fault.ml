@@ -345,9 +345,24 @@ let test_partition_retry_rescues () =
       Alcotest.(check int) "retries absorbed the capped faults" 0 st.P.failed;
       check_equiv "equivalent" baseline r)
 
-(* -- store crash points -- *)
+(* -- SAT faults inside exact synthesis -- *)
 
-(* covered in depth by Test_store; here only the registry wiring *)
+(* The shipped NPN tables answer every lookup of the preset envs, so SAT
+   faults only reach exact synthesis through a database with no table:
+   a budget the library ships none for. *)
+let test_tableless_rewrite_sat_faults () =
+  let net = G.generate ~seed:(Seed.get 0x5a7) ~num_pis:6 ~num_gates:60 ~num_pos:4 () in
+  let config = { Exact.Synth.aig_config with Exact.Synth.max_gates = 9 } in
+  let env = { (Flow.Engine.aig_env ()) with Flow.Engine.db = Exact.Database.create config } in
+  let r, _ =
+    with_faults "sat.solve:0.3" (fun () ->
+        let r = F.run_script_safe env (Copy.convert net) "rw" in
+        Alcotest.(check bool) "fault fired" true (Fault.fired ());
+        r)
+  in
+  Alcotest.(check bool) "synthesis reached" true
+    (Exact.Database.misses env.Flow.Engine.db > 0);
+  check_equiv "rewrite under SAT faults" net r
 
 (* -- trace round-trip -- *)
 
@@ -444,6 +459,8 @@ let suite =
       test_partition_stitch_fallback;
     Alcotest.test_case "partition: retry rescues capped faults" `Slow
       test_partition_retry_rescues;
+    Alcotest.test_case "table-less rewrite under SAT faults" `Quick
+      test_tableless_rewrite_sat_faults;
     Alcotest.test_case "degraded trace round-trip" `Quick
       test_degraded_trace_round_trip;
     Alcotest.test_case "fault fuzz: equivalent or cleanly degraded" `Slow

@@ -161,8 +161,9 @@ let test_env_reuse_across_benchmarks () =
       | Algo.Cec.Counterexample _ | Algo.Cec.Unknown ->
         Alcotest.fail (name ^ ": shared-env rewrite broke the function"))
     [ "ctrl"; "int2float"; "router" ];
-  let _, misses, _ = Exact.Database.stats env.Flow.Engine.db in
-  Alcotest.(check bool) "database populated" true (misses > 0)
+  let hits, misses, _ = Exact.Database.stats env.Flow.Engine.db in
+  Alcotest.(check bool) "all lookups hit" true (hits > 0);
+  Alcotest.(check int) "0 misses" 0 misses
 
 let test_xmg_flow () =
   let baseline = S.build "ctrl" in

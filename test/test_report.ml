@@ -329,9 +329,63 @@ let test_chrome_export () =
       | None -> Alcotest.fail "span without args")
     spans
 
+(* Traces and BENCH files written while the on-disk exact-synthesis store
+   existed carry a "cache" block in their meta line / header instead of
+   today's "exact_db" block.  Both still load, and [pp_bench] prints
+   whichever block is there. *)
+let test_retired_cache_block () =
+  let clean = Filename.temp_file "genlog_report" ".jsonl" in
+  let old = Filename.temp_file "genlog_report_cache" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove clean; Sys.remove old)
+    (fun () ->
+      T.write_file (sample_trace ()) clean;
+      let ic = open_in clean and oc = open_out old in
+      (try
+         while true do
+           let line = input_line ic in
+           let prefix = "{\"event\":\"meta\"," in
+           let n = String.length prefix in
+           if String.length line > n && String.sub line 0 n = prefix then
+             output_string oc
+               (prefix
+               ^ "\"cache\":{\"classes\":65,\"hits\":900,\"misses\":0,\
+                  \"store_loaded\":65,\"store_skipped\":0,\"store_flushed\":0,\
+                  \"store_pending\":0},"
+               ^ String.sub line n (String.length line - n)
+               ^ "\n")
+           else output_string oc (line ^ "\n")
+         done
+       with End_of_file -> ());
+      close_in ic;
+      close_out oc;
+      let rows path = T.summarize (R.load_trace path) in
+      Alcotest.(check bool) "same pass rows" true (rows clean = rows old));
+  let bench block =
+    J.parse
+      (Printf.sprintf
+         "{\"bench\":\"smoke\",\"schema\":2,%s,\"rows\":[{\"benchmark\":\"ctrl\",\
+          \"stage\":\"opt\",\"nodes\":10}]}"
+         block)
+  in
+  let printed j = Format.asprintf "%a" R.pp_bench j in
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool) "old cache block printed" true
+    (contains (printed (bench "\"cache\":{\"hits\":3,\"misses\":0}")) "cache: hits=3 misses=0");
+  Alcotest.(check bool) "exact_db block printed" true
+    (contains
+       (printed (bench "\"exact_db\":{\"source\":\"shipped\",\"misses\":0}"))
+       "exact_db: source=shipped misses=0")
+
 let suite =
   [
     Alcotest.test_case "json parser" `Quick test_json_parser;
+    Alcotest.test_case "loaders accept the retired cache block" `Quick
+      test_retired_cache_block;
     Alcotest.test_case "qor gate: self-comparison passes" `Quick
       test_check_self_passes;
     Alcotest.test_case "qor gate: regressions flagged" `Quick

@@ -10,8 +10,7 @@ let test_json_round_trip () =
   let c =
     RC.make ~representation:RC.Xmg ~script:"bz; rw; rf" ~trace_path:"t.jsonl"
       ~stats:true ~sample:10 ~partition:500 ~jobs:3 ~budget:1000 ~cost:"depth"
-      ~cache:"/tmp/store.glxs" ~timeout:1.5 ~retries:2
-      ~faults:"parmap.job:0.1,sat.solve:1:2" ()
+      ~timeout:1.5 ~retries:2 ~faults:"parmap.job:0.1,sat.solve:1:2" ()
   in
   match RC.of_json_string (RC.to_json c) with
   | Ok c' -> Alcotest.check cfg "round-trips" c c'
@@ -34,9 +33,10 @@ let test_json_rejects_unknown () =
   | Ok _ -> Alcotest.fail "accepted non-object"
   | Error _ -> ()
 
-(* A job spec from before the SAT portfolio and kernel switch were
-   removed: the retired "sat_jobs" and "kernel" keys are ignored, every
-   other field loads, and the result round-trips. *)
+(* A job spec from before the SAT portfolio, the kernel switch and the
+   on-disk exact-synthesis store were removed: the retired "sat_jobs",
+   "kernel" and "cache" keys are ignored, every other field loads, and
+   the result round-trips. *)
 let test_json_retired_knobs () =
   let old_spec =
     "{\"representation\":\"xmg\",\"script\":\"bz; rw; rf\",\"trace\":\"t.jsonl\",\
@@ -47,7 +47,7 @@ let test_json_retired_knobs () =
   let expected =
     RC.make ~representation:RC.Xmg ~script:"bz; rw; rf" ~trace_path:"t.jsonl"
       ~stats:true ~sample:10 ~partition:500 ~jobs:3 ~budget:1000 ~cost:"depth"
-      ~cache:"/tmp/store.glxs" ~timeout:1.5 ~retries:2 ()
+      ~timeout:1.5 ~retries:2 ()
   in
   match RC.of_json_string old_spec with
   | Error e -> Alcotest.fail e
@@ -71,24 +71,19 @@ let test_env_overrides () =
   with_env
     [
       ("GENLOG_PARTITION", "250");
-      ("GENLOG_CACHE", "/tmp/env_store.glxs");
       ("GENLOG_JOBS", "not-a-number");
       ("GENLOG_TIMEOUT", "2.5");
       ("GENLOG_RETRIES", "3");
-      ("GENLOG_FAULTS", "store.append:1:1");
+      ("GENLOG_FAULTS", "engine.pass:1:1");
     ]
     (fun () ->
       let c = RC.of_env () in
       Alcotest.(check int) "partition from env" 250 c.RC.partition;
-      Alcotest.(check (option string))
-        "cache from env"
-        (Some "/tmp/env_store.glxs")
-        c.RC.cache;
       Alcotest.(check (float 1e-9)) "timeout from env" 2.5 c.RC.timeout;
       Alcotest.(check int) "retries from env" 3 c.RC.retries;
       Alcotest.(check (option string))
         "faults from env"
-        (Some "store.append:1:1")
+        (Some "engine.pass:1:1")
         c.RC.faults;
       (* unparsable integers keep the default rather than failing *)
       Alcotest.(check int) "bad int ignored" RC.default.RC.jobs c.RC.jobs)
