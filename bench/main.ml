@@ -267,6 +267,8 @@ let smoke () =
             ("seconds", Bench_json.Float seconds) ]
         :: !rows)
     [ "ctrl"; "cavlc"; "int2float"; "dec"; "router" ];
+  Runmeta.set_exact_db ~source:(Database.source env.Flow.db)
+    (Database.obs_gauges env.Flow.db);
   Trace.write_file trace "TRACE_smoke.jsonl";
   Printf.printf "[bench] wrote TRACE_smoke.jsonl (%d events)\n%!"
     (List.length (Trace.events trace));
