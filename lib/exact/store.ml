@@ -24,6 +24,9 @@ let max_payload = 1 lsl 24 (* sanity bound when reading length fields *)
 
 (* ---------------------------------------------------------------- CRC-32 *)
 
+(* Eager, not lazy: [Database.create] fingerprints its config, and
+   partition workers create databases concurrently, where forcing a lazy
+   value from two domains at once raises. *)
 let crc_table =
   Array.init 256 (fun n ->
       let c = ref (Int32.of_int n) in
@@ -36,7 +39,6 @@ let crc_table =
       !c)
 
 let crc32 s =
-  let table = crc_table in
   let c = ref 0xffffffffl in
   String.iter
     (fun ch ->
@@ -44,7 +46,7 @@ let crc32 s =
         Int32.to_int
           (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xffl)
       in
-      c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8))
+      c := Int32.logxor crc_table.(idx) (Int32.shift_right_logical !c 8))
     s;
   Int32.logxor !c 0xffffffffl
 
