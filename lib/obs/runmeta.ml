@@ -54,11 +54,12 @@ let escape s =
 
 (* Optional per-run exact_db block: where the exact-synthesis database
    came from ([source]: "shipped" or "none") and its counters (classes
-   loaded and skipped, hits, misses, failures), stamped by the driver via
-   [set_exact_db].  Rendered into the trace meta line and BENCH headers
-   only when set, so schema-v2 consumers that predate the block are
-   unaffected.  Artifacts of older releases carry a "cache" block (the
-   retired on-disk store) instead; readers skip or print it as is. *)
+   loaded and skipped, hits, misses, failures), stamped by [genlog opt]
+   and [bench smoke] via [set_exact_db].  Rendered into the trace meta
+   line and BENCH headers only when set, so schema-v2 consumers that
+   predate the block are unaffected.  Artifacts of older releases carry a
+   "cache" block (the retired on-disk store) instead; readers skip or
+   print it as is. *)
 let exact_db_fields : (string * (string * int) list) option ref = ref None
 let set_exact_db ~source kvs = exact_db_fields := Some (source, kvs)
 
