@@ -263,8 +263,7 @@ let opt_cmd =
       exit 2);
     let cfg =
       RC.make ~representation ~script ?trace_path:trace_file ~stats ~sample
-        ~partition ~jobs ~budget:base_cfg.RC.budget ~cost ~timeout
-        ~retries ?faults ()
+        ~partition ~jobs ~cost ~timeout ~retries ?faults ()
     in
     (* stamp the objective into trace meta and BENCH headers *)
     Genlog.Runmeta.set_cost cfg.RC.cost;
@@ -373,19 +372,16 @@ let opt_cmd =
           (String.concat " "
              (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) gauges));
       Genlog.Flow.emit_db_metrics env trace;
-      (if Genlog.Fault.active () then
-         let counters =
-           List.concat_map
+      if Genlog.Fault.active () then
+        Genlog.Metrics.emit_counters trace ~algo:"faults"
+          (List.concat_map
              (fun (point, draws, fires) ->
                [ (point ^ ".draws", draws); (point ^ ".fired", fires) ])
-             (Genlog.Fault.counts ())
-         in
-         if counters <> [] then
-           Genlog.Trace.report trace ~algo:"faults" counters);
+             (Genlog.Fault.counts ()));
       (match cfg.RC.trace_path with
       | Some path -> Genlog.Trace.write_file trace path
       | None -> ());
-      if cfg.RC.stats then Format.eprintf "%a%!" Genlog.Trace.pp_summary trace
+      if cfg.RC.stats then Format.eprintf "%a%!" Genlog.Report.pp_trace trace
     in
     Fun.protect ~finally:epilogue (fun () ->
         (* outer batch parallelism only when partition keeps the inner
@@ -521,7 +517,7 @@ let cec_cmd =
   let budget =
     Arg.(
       value
-      & opt int base_cfg.RC.budget
+      & opt int 0
       & info [ "budget" ] ~docv:"CONFLICTS"
           ~doc:"Single-attempt conflict budget. 0 (the default) climbs the \
                 escalating budget ladder and reports UNKNOWN when the \
@@ -650,33 +646,6 @@ let report_cmd =
           ~doc:"Gate only on QoR fields; skip the (noisy) time fields. \
                 Recommended on shared CI runners.")
   in
-  let history_in =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "history" ] ~docv:"HISTORY.jsonl"
-          ~doc:"Cross-run history log (appended by $(b,--append-history)): \
-                render per-benchmark trend tables and exit nonzero when the \
-                latest run regresses against the rolling median of the last \
-                runs.")
-  in
-  let append_history =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "append-history" ] ~docv:"HISTORY.jsonl"
-          ~doc:"Append the $(b,--bench) payload to $(docv) (created if \
-                missing) before any $(b,--history) analysis. Requires \
-                $(b,--bench).")
-  in
-  let history_window =
-    Arg.(
-      value
-      & opt int Genlog.History.default_thresholds.Genlog.History.window
-      & info [ "history-window" ] ~docv:"K"
-          ~doc:"Rolling window for drift detection: the latest run is \
-                compared against the median of the previous $(docv) runs.")
-  in
   let html_out =
     Arg.(
       value
@@ -684,14 +653,12 @@ let report_cmd =
       & info [ "html" ] ~docv:"OUT.html"
           ~doc:"Write a self-contained HTML dashboard (no external assets) \
                 joining whatever artifacts were passed: per-pass tables and \
-                SAT summaries from $(b,--trace), rows from $(b,--bench), \
-                sparkline trends from $(b,--history).")
+                SAT summaries from $(b,--trace), rows from $(b,--bench).")
   in
   let run trace_in bench_in chrome_out check_against max_qor_pct max_time_pct
-      ignore_time history_in append_history history_window html_out =
-    if trace_in = None && bench_in = None && history_in = None then begin
-      Printf.eprintf
-        "report: nothing to do; pass --trace, --bench and/or --history\n";
+      ignore_time html_out =
+    if trace_in = None && bench_in = None then begin
+      Printf.eprintf "report: nothing to do; pass --trace and/or --bench\n";
       exit 2
     end;
     (match chrome_out with
@@ -704,16 +671,14 @@ let report_cmd =
       Printf.eprintf "report: --check requires --bench (the current run)\n";
       exit 2
     | _ -> ());
-    (match append_history with
-    | Some _ when bench_in = None ->
-      Printf.eprintf "report: --append-history requires --bench\n";
-      exit 2
-    | _ -> ());
     let failed = ref false in
     let trace =
       Option.map
         (fun path ->
-          let trace = Genlog.Report.load_trace path in
+          let trace, skipped = Genlog.Report.load_trace path in
+          if skipped > 0 then
+            Printf.eprintf "[report] trace: skipped %d unparsable line(s)\n%!"
+              skipped;
           Format.printf "%a" Genlog.Report.pp_trace trace;
           (match chrome_out with
           | None -> ()
@@ -728,12 +693,6 @@ let report_cmd =
     | None -> ()
     | Some current -> (
       Format.printf "%a" Genlog.Report.pp_bench current;
-      (match append_history with
-      | None -> ()
-      | Some hpath ->
-        Genlog.History.append ~path:hpath current;
-        Printf.printf "[report] appended %s to %s\n"
-          (Option.get bench_in) hpath);
       match check_against with
       | None -> ()
       | Some base_path -> (
@@ -759,54 +718,19 @@ let report_cmd =
             (List.length problems);
           List.iter (fun p -> Printf.eprintf "  %s\n" p) problems;
           failed := true)));
-    let history_runs =
-      match history_in with
-      | None -> []
-      | Some path ->
-        let runs, skipped = Genlog.History.load ~path in
-        if skipped > 0 then
-          Printf.eprintf "[report] history: skipped %d corrupt line(s)\n"
-            skipped;
-        let thresholds =
-          {
-            Genlog.History.default_thresholds with
-            Genlog.History.window = history_window;
-          }
-        in
-        Format.printf "%a" (Genlog.History.pp_trends ~thresholds) runs;
-        (match Genlog.History.regressions ~thresholds runs with
-        | [] -> ()
-        | regs ->
-          Printf.eprintf "[report] history: %d regression(s) vs rolling median:\n"
-            (List.length regs);
-          List.iter
-            (fun (v : Genlog.History.verdict) ->
-              let s = v.Genlog.History.v_series in
-              Printf.eprintf "  %s/%s/%s: %s %.6g -> %.6g (%+.1f%%)\n"
-                s.Genlog.History.s_bench s.Genlog.History.s_benchmark
-                s.Genlog.History.s_stage s.Genlog.History.s_field
-                v.Genlog.History.v_reference v.Genlog.History.v_latest
-                v.Genlog.History.v_delta_pct)
-            regs;
-          failed := true);
-        runs
-    in
     (match html_out with
     | None -> ()
     | Some out ->
-      Genlog.Html.write_file ?trace ?bench:current ~history:history_runs
-        ~path:out ();
+      Genlog.Html.write_file ?trace ?bench:current ~path:out ();
       Printf.printf "[report] wrote dashboard %s\n" out);
     if !failed then exit 1
   in
   Cmd.v
     (Cmd.info "report"
        ~doc:"Join trace/bench artifacts into tables; gate QoR against a \
-             baseline and cross-run history; export Chrome traces and an \
-             HTML dashboard")
+             baseline; export Chrome traces and an HTML dashboard")
     Term.(const run $ trace_in $ bench_in $ chrome_out $ check_against
-          $ max_qor_pct $ max_time_pct $ ignore_time $ history_in
-          $ append_history $ history_window $ html_out)
+          $ max_qor_pct $ max_time_pct $ ignore_time $ html_out)
 
 (* -- fraig -- *)
 

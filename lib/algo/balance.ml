@@ -174,12 +174,13 @@ module Make (N : Network.Intf.NETWORK) = struct
           | Network.Kind.Lut _ | Network.Kind.Const | Network.Kind.Pi -> ()
         end)
       nodes;
-    Obs.Trace.report trace ~algo:"balance"
-      [
-        ("tried", !tried);
-        ("accepted", !substitutions);
-        ("rejected", !tried - !substitutions);
-      ];
+    if Obs.Metrics.enabled metrics then
+      Obs.Metrics.add_counters metrics
+        [
+          ("tried", !tried);
+          ("accepted", !substitutions);
+          ("rejected", !tried - !substitutions);
+        ];
     Obs.Metrics.emit metrics trace;
     !substitutions
 end

@@ -128,18 +128,19 @@ module Make (A : Network.Intf.TRAVERSABLE) (B : Network.Intf.TRAVERSABLE) = stru
     rungs_used : int;     (* ladder rungs consumed (1 = first try) *)
   }
 
-  (* Kernel counters of the answering solver, published as [solver_*]
-     gauges under the "cec" registry so Trace.summarize attributes the
-     miter's work to the enclosing pass span. *)
+  (* The check's counters (conflicts, rungs) and the kernel counters of
+     the answering solver, published as [solver_*] gauges, under the "cec"
+     registry so Trace.summarize attributes the miter's work to the
+     enclosing pass span. *)
   let publish_solver trace solver (rep : report) =
     if Obs.Trace.enabled trace then begin
       let m = Obs.Metrics.of_trace trace ~algo:"cec" in
+      Obs.Metrics.add_counters m
+        [ ("conflicts", rep.conflicts); ("rungs", rep.rungs_used) ];
       List.iter
         (fun (k, v) -> Obs.Metrics.set (Obs.Metrics.gauge m ("solver_" ^ k)) v)
         (Satkit.Solver.stats solver);
-      Obs.Metrics.emit m trace;
-      Obs.Trace.report trace ~algo:"cec"
-        [ ("conflicts", rep.conflicts); ("rungs", rep.rungs_used) ]
+      Obs.Metrics.emit m trace
     end
 
   (* SAT equivalence check.

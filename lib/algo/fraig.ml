@@ -141,14 +141,15 @@ module Make (N : Network.Intf.SWEEPABLE) = struct
         (fun (k, v) ->
           Obs.Metrics.set (Obs.Metrics.gauge metrics ("solver_" ^ k)) v)
         (Satkit.Solver.stats solver);
-    Obs.Trace.report trace ~algo:"fraig"
-      [
-        ("classes", stats.classes);
-        ("proved", stats.proved);
-        ("refuted", stats.refuted);
-        ("unknown", stats.unknown);
-        ("cost_skipped", stats.cost_skipped);
-      ];
+    if Obs.Metrics.enabled metrics then
+      Obs.Metrics.add_counters metrics
+        [
+          ("classes", stats.classes);
+          ("proved", stats.proved);
+          ("refuted", stats.refuted);
+          ("unknown", stats.unknown);
+          ("cost_skipped", stats.cost_skipped);
+        ];
     Obs.Metrics.emit metrics trace;
     stats
 end

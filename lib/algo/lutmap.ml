@@ -169,12 +169,13 @@ module Make (N : Network.Intf.COUNTED) = struct
         K.create_po klut (K.complement_if (N.is_complemented s) m));
     let module Dk = Depth.Make (Network.Klut) in
     let mapping = { klut; lut_count = K.num_gates klut; depth = Dk.depth klut } in
-    Obs.Trace.report trace ~algo:"lutmap"
-      [
-        ("k", k);
-        ("luts", mapping.lut_count);
-        ("lut_depth", mapping.depth);
-      ];
+    if Obs.Metrics.enabled metrics then
+      Obs.Metrics.add_counters metrics
+        [
+          ("k", k);
+          ("luts", mapping.lut_count);
+          ("lut_depth", mapping.depth);
+        ];
     Obs.Metrics.emit metrics trace;
     mapping
 end

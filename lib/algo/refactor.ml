@@ -77,12 +77,13 @@ module Make (N : Network.Intf.NETWORK) = struct
                ~trace ~sampling ~metrics ~h_inputs ~h_gain
         then incr substitutions)
       (T.order net);
-    Obs.Trace.report trace ~algo:"refactor"
-      [
-        ("tried", !tried);
-        ("accepted", !substitutions);
-        ("rejected", !rejected);
-      ];
+    if Obs.Metrics.enabled metrics then
+      Obs.Metrics.add_counters metrics
+        [
+          ("tried", !tried);
+          ("accepted", !substitutions);
+          ("rejected", !rejected);
+        ];
     Obs.Metrics.emit metrics trace;
     !substitutions
 end

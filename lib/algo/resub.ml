@@ -342,12 +342,13 @@ module Make (N : Network.Intf.NETWORK) = struct
           end
         end)
       (T.order net);
-    Obs.Trace.report trace ~algo:"resub"
-      [
-        ("tried", !tried);
-        ("accepted", !substitutions);
-        ("rejected", !rejected);
-      ];
+    if Obs.Metrics.enabled metrics then
+      Obs.Metrics.add_counters metrics
+        [
+          ("tried", !tried);
+          ("accepted", !substitutions);
+          ("rejected", !rejected);
+        ];
     Obs.Metrics.emit metrics trace;
     !substitutions
 end

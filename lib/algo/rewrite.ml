@@ -152,13 +152,14 @@ module Make (N : Network.Intf.NETWORK) = struct
               end)
         end)
       nodes;
+    if Obs.Metrics.enabled metrics then
+      Obs.Metrics.add_counters metrics
+        [
+          ("tried", stats.candidates);
+          ("accepted", stats.substitutions);
+          ("rejected", stats.candidates - stats.substitutions);
+          ("gain", stats.gain);
+        ];
     Obs.Metrics.emit metrics trace;
-    Obs.Trace.report trace ~algo:"rewrite"
-      [
-        ("tried", stats.candidates);
-        ("accepted", stats.substitutions);
-        ("rejected", stats.candidates - stats.substitutions);
-        ("gain", stats.gain);
-      ];
     stats.gain
 end

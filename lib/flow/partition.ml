@@ -268,7 +268,7 @@ module Make (N : Network.Intf.NETWORK) = struct
     let seconds = Unix.gettimeofday () -. t0 in
     let gates_after = N.num_gates chosen in
     if traced then begin
-      Obs.Trace.report trace ~algo:"partition"
+      Obs.Metrics.emit_counters trace ~algo:"partition"
         [
           ("part", p.id);
           ("gates", gates_before);
@@ -376,7 +376,7 @@ module Make (N : Network.Intf.NETWORK) = struct
     let parts = Array.of_list (carve ~size_cap net) in
     let carve_seconds = Unix.gettimeofday () -. t0 in
     if traced then begin
-      Obs.Trace.report trace ~algo:"partition"
+      Obs.Metrics.emit_counters trace ~algo:"partition"
         [ ("partitions", Array.length parts); ("size_cap", size_cap) ];
       Obs.Trace.pass_end trace
         ~gc:(Obs.Trace.gc_diff g0 (Gc.quick_stat ()))

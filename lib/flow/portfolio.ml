@@ -169,7 +169,7 @@ let run ?config ?script ?(k = 6) ?(envs = []) ?(jobs = default_jobs)
   (* one roster-level record so the merged trace is self-describing: how
      many jobs ran and how many hardware domains the host offers (the
      chrome export shows one [tid] track per job flow) *)
-  Obs.Trace.report trace ~algo:"portfolio"
+  Obs.Metrics.emit_counters trace ~algo:"portfolio"
     [
       ("jobs", List.length staged);
       ("recommended_domains", Domain.recommended_domain_count ());

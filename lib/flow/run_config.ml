@@ -21,7 +21,6 @@ type t = {
   sample : int;  (* node-event sampling rate; 0 = off *)
   partition : int;  (* partition size cap; 0 = whole-network flow *)
   jobs : int;  (* worker domains for partition/batch parallelism *)
-  budget : int;  (* CEC conflict budget; 0 = ladder default, <0 = complete *)
   cost : string;  (* optimization objective spec, e.g. "area", "depth" *)
   timeout : float;  (* wall-clock budget per network, seconds; 0 = none *)
   retries : int;  (* extra attempts for a failed batch/partition job *)
@@ -50,7 +49,6 @@ let default =
     sample = 0;
     partition = 0;
     jobs = Domain.recommended_domain_count ();
-    budget = 0;
     cost = "area";
     timeout = 0.;
     retries = 0;
@@ -59,7 +57,8 @@ let default =
 
 let make ?(representation = default.representation) ?(script = default.script)
     ?trace_path ?(stats = false) ?(sample = 0) ?(partition = 0)
-    ?(jobs = default.jobs) ?(budget = 0) ?(cost = default.cost) ?(timeout = 0.) ?(retries = 0) ?faults () =
+    ?(jobs = default.jobs) ?(cost = default.cost) ?(timeout = 0.) ?(retries = 0)
+    ?faults () =
   {
     representation;
     script;
@@ -68,7 +67,6 @@ let make ?(representation = default.representation) ?(script = default.script)
     sample;
     partition;
     jobs;
-    budget;
     cost;
     timeout;
     retries;
@@ -110,7 +108,6 @@ let with_env cfg =
     sample = int_env "GENLOG_SAMPLE" cfg.sample;
     partition = int_env "GENLOG_PARTITION" cfg.partition;
     jobs = int_env "GENLOG_JOBS" cfg.jobs;
-    budget = int_env "GENLOG_BUDGET" cfg.budget;
     cost =
       (let c = str_env "GENLOG_COST" cfg.cost in
        match Algo.Cost.Spec.validate_string c with
@@ -145,15 +142,16 @@ let json_opt = function None -> "null" | Some s -> json_string s
 
 let to_json cfg =
   Printf.sprintf
-    "{\"representation\":%s,\"script\":%s,\"trace\":%s,\"stats\":%b,\"sample\":%d,\"partition\":%d,\"jobs\":%d,\"budget\":%d,\"cost\":%s,\"timeout\":%.6g,\"retries\":%d,\"faults\":%s}"
+    "{\"representation\":%s,\"script\":%s,\"trace\":%s,\"stats\":%b,\"sample\":%d,\"partition\":%d,\"jobs\":%d,\"cost\":%s,\"timeout\":%.6g,\"retries\":%d,\"faults\":%s}"
     (json_string (representation_to_string cfg.representation))
     (json_string cfg.script) (json_opt cfg.trace_path) cfg.stats cfg.sample
-    cfg.partition cfg.jobs cfg.budget (json_string cfg.cost)
+    cfg.partition cfg.jobs (json_string cfg.cost)
     cfg.timeout cfg.retries (json_opt cfg.faults)
 
 (* Unknown keys are ignored, so job specs written by older releases, which
-   still carry the retired SAT-portfolio width and kernel switch or the
-   retired on-disk exact-synthesis store path ("cache"), load. *)
+   still carry the retired SAT-portfolio width and kernel switch, the
+   retired on-disk exact-synthesis store path ("cache") or the retired CEC
+   conflict budget that no flow read ("budget"), load. *)
 let of_json (j : Obs.Json.t) : (t, string) result =
   match j with
   | Obs.Json.Obj _ -> (
@@ -194,7 +192,6 @@ let of_json (j : Obs.Json.t) : (t, string) result =
           sample = int "sample" 0;
           partition = int "partition" 0;
           jobs = int "jobs" default.jobs;
-          budget = int "budget" 0;
           cost;
           timeout =
             Option.value ~default:default.timeout

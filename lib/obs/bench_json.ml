@@ -8,7 +8,8 @@
    Living in the obs library (rather than next to the bench driver) makes
    the schema-v2 runmeta header a property of the writer itself: every
    subcommand that goes through [write] — sat included — is
-   stamped identically, which is what keys the history log. *)
+   stamped identically, so [report --check] can refuse to compare runs
+   made under different objectives. *)
 
 type value = Int of int | Float of float | Str of string
 

@@ -9,8 +9,9 @@
    - each pass span becomes a complete event (ph "X") anchored at the
      span's [pass_begin] timestamp with the measured duration, carrying
      gates/depth before/after and the GC delta as [args];
-   - counters / metrics / sampled node events become thread-scoped
-     instant events (ph "i") at their timestamp.
+   - metrics events (decision counters, gauges, histogram summaries) and
+     sampled node events become thread-scoped instant events (ph "i") at
+     their timestamp.
 
    Timestamps are microseconds (the format's unit).  Complete events are
    anchored at their *begin* time while they are paired at their end
@@ -34,7 +35,6 @@ let flow_tracks events =
     (function
       | Trace.Pass_begin { flow; _ }
       | Trace.Pass_end { flow; _ }
-      | Trace.Counters { flow; _ }
       | Trace.Metrics { flow; _ }
       | Trace.Node_event { flow; _ }
       | Trace.Degraded { flow; _ } -> see flow)
@@ -89,11 +89,6 @@ let lines (t : Trace.t) =
              (us elapsed)
              (tid flow) gates0 gates depth0 depth gc.Trace.minor_words
              gc.Trace.major_words)
-      | Trace.Counters { t; flow; algo; counters } ->
-        emit t
-          (Printf.sprintf
-             "{\"name\":\"%s\",\"cat\":\"counters\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{%s}}"
-             (esc algo) (us t) (tid flow) (counters_args counters))
       | Trace.Metrics { t; flow; algo; counters; gauges; hists } ->
         let hist_args =
           List.map

@@ -1,13 +1,11 @@
 (* Single-file HTML dashboard over the observability artifacts: per-pass
    time/gain tables from a trace, SAT kernel summaries (conflict and
-   propagation totals), exact-store hit rates, bench rows, and cross-run
-   history sparklines.
+   propagation totals), exact-database hit rates, and bench rows.
 
-   The page is fully self-contained — inline CSS, inline SVG, no external
-   assets or requests — so it can be archived as a CI artifact and opened
-   years later, offline, and still render.  Section anchors (#meta,
-   #passes, #sat, #bench, #history) are stable so CI job summaries can
-   deep-link. *)
+   The page is fully self-contained — inline CSS, no external assets or
+   requests — so it can be archived as a CI artifact and opened years
+   later, offline, and still render.  Section anchors (#meta, #passes,
+   #sat, #bench) are stable so CI job summaries can deep-link. *)
 
 let esc s =
   let b = Buffer.create (String.length s) in
@@ -32,43 +30,11 @@ let style =
    th{background:#eef;position:sticky;top:0}\
    td:first-child,th:first-child,td.l,th.l{text-align:left}\
    .bad{background:#fdd;font-weight:bold}\
-   .ok{color:#161}\
-   .muted{color:#667}\
-   svg.spark{vertical-align:middle}"
+   .muted{color:#667}"
 
 let fnum v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else Printf.sprintf "%.3f" v
-
-(* Inline SVG sparkline: a polyline over the series, min..max normalized,
-   latest point marked.  Pure markup, no script. *)
-let sparkline ?(w = 120) ?(h = 24) (values : float list) : string =
-  match values with
-  | [] | [ _ ] -> "<span class=\"muted\">-</span>"
-  | vs ->
-    let n = List.length vs in
-    let lo = List.fold_left Float.min infinity vs in
-    let hi = List.fold_left Float.max neg_infinity vs in
-    let span = if hi -. lo <= 0.0 then 1.0 else hi -. lo in
-    let pt i v =
-      let x = float_of_int i *. float_of_int w /. float_of_int (n - 1) in
-      let y =
-        2.0 +. ((1.0 -. ((v -. lo) /. span)) *. (float_of_int h -. 4.0))
-      in
-      (x, y)
-    in
-    let pts = List.mapi pt vs in
-    let path =
-      String.concat " "
-        (List.map (fun (x, y) -> Printf.sprintf "%.1f,%.1f" x y) pts)
-    in
-    let lx, ly = List.nth pts (n - 1) in
-    Printf.sprintf
-      "<svg class=\"spark\" width=\"%d\" height=\"%d\" \
-       viewBox=\"0 0 %d %d\"><polyline points=\"%s\" fill=\"none\" \
-       stroke=\"#36c\" stroke-width=\"1.5\"/><circle cx=\"%.1f\" cy=\"%.1f\" \
-       r=\"2\" fill=\"#c33\"/></svg>"
-      w h w h path lx ly
 
 (* -- sections -- *)
 
@@ -132,7 +98,7 @@ let section_passes b (trace : Trace.t) (rows : Trace.pass_row list) =
     Buffer.add_string b "</table>"
   end
 
-(* SAT summary: totals over the pass rows and the exact-synthesis store's
+(* SAT summary: totals over the pass rows and the exact database's
    hit rate (from the last "exact_db" metrics event the engine emits after
    cleanup). *)
 let section_sat b (trace : Trace.t) (rows : Trace.pass_row list) =
@@ -146,7 +112,7 @@ let section_sat b (trace : Trace.t) (rows : Trace.pass_row list) =
   Buffer.add_string b
     (Printf.sprintf "<p>conflicts <b>%d</b>, propagations <b>%d</b></p>"
        confl props);
-  (* exact-synthesis store: last exact_db gauge set wins (cumulative) *)
+  (* exact database: last exact_db gauge set wins (cumulative) *)
   let db_gauges = ref [] in
   List.iter
     (function
@@ -163,7 +129,7 @@ let section_sat b (trace : Trace.t) (rows : Trace.pass_row list) =
       else 100.0 *. float_of_int hits /. float_of_int (hits + misses)
     in
     Buffer.add_string b
-      (Printf.sprintf "<p>exact store: hit rate <b>%.1f%%</b> (%s)</p>" rate
+      (Printf.sprintf "<p>exact database: hit rate <b>%.1f%%</b> (%s)</p>" rate
          (esc
             (String.concat ", "
                (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) gauges))))
@@ -208,47 +174,9 @@ let section_bench b (bench : Json.t) =
     Buffer.add_string b "</table>"
   end
 
-let section_history b (runs : History.run list) =
-  Buffer.add_string b "<h2 id=\"history\">History</h2>";
-  if runs = [] then
-    Buffer.add_string b "<p class=\"muted\">no recorded runs</p>"
-  else begin
-    Buffer.add_string b
-      (Printf.sprintf "<p>%d recorded runs</p>" (List.length runs));
-    Buffer.add_string b
-      "<table><tr><th class=\"l\">bench</th><th class=\"l\">benchmark</th>\
-       <th class=\"l\">stage</th><th class=\"l\">field</th><th>runs</th>\
-       <th>median</th><th>latest</th><th>delta</th>\
-       <th class=\"l\">trend</th></tr>";
-    List.iter
-      (fun (s : History.series) ->
-        let latest = List.nth s.values (List.length s.values - 1) in
-        let verdict = History.judge History.default_thresholds s in
-        let cls, median_s, delta_s =
-          match verdict with
-          | None -> ("", "-", "-")
-          | Some v ->
-            ( (if v.History.v_regressed then " class=\"bad\"" else ""),
-              fnum v.History.v_reference,
-              Printf.sprintf "%+.1f%%" v.History.v_delta_pct )
-        in
-        Buffer.add_string b
-          (Printf.sprintf
-             "<tr%s><td class=\"l\">%s</td><td class=\"l\">%s</td>\
-              <td class=\"l\">%s</td><td class=\"l\">%s</td><td>%d</td>\
-              <td>%s</td><td>%s</td><td>%s</td><td class=\"l\">%s</td></tr>"
-             cls (esc s.History.s_bench) (esc s.History.s_benchmark)
-             (esc s.History.s_stage) (esc s.History.s_field)
-             (List.length s.values) median_s (fnum latest) delta_s
-             (sparkline s.values)))
-      (History.series_of_runs runs);
-    Buffer.add_string b "</table>"
-  end
-
 (* -- the page -- *)
 
-let render ?(title = "genlog dashboard") ?trace ?bench ?(history = []) () :
-    string =
+let render ?(title = "genlog dashboard") ?trace ?bench () : string =
   let b = Buffer.create 16384 in
   Buffer.add_string b
     (Printf.sprintf
@@ -264,12 +192,11 @@ let render ?(title = "genlog dashboard") ?trace ?bench ?(history = []) () :
     section_sat b t rows
   | None -> ());
   (match bench with Some j -> section_bench b j | None -> ());
-  section_history b history;
   Buffer.add_string b "</body></html>\n";
   Buffer.contents b
 
-let write_file ?title ?trace ?bench ?history ~path () =
+let write_file ?title ?trace ?bench ~path () =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (render ?title ?trace ?bench ?history ()))
+    (fun () -> output_string oc (render ?title ?trace ?bench ()))

@@ -188,43 +188,3 @@ let to_list = function
 let num_member key j = Option.bind (member key j) to_num
 let str_member key j = Option.bind (member key j) to_string
 let int_member key j = Option.map int_of_float (num_member key j)
-
-(* -- compact writer --
-
-   One-line rendering, the inverse of [parse] for the values this repo
-   produces: integers print without a fractional part so re-rendered
-   artifacts stay byte-stable under parse/render round trips.  Used by
-   the history log, which appends whole BENCH payloads as single JSONL
-   lines. *)
-
-let escape_string s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let rec render = function
-  | Null -> "null"
-  | Bool b -> string_of_bool b
-  | Num f ->
-    if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-    else Printf.sprintf "%.6g" f
-  | Str s -> "\"" ^ escape_string s ^ "\""
-  | Arr l -> "[" ^ String.concat "," (List.map render l) ^ "]"
-  | Obj kvs ->
-    "{"
-    ^ String.concat ","
-        (List.map
-           (fun (k, v) -> "\"" ^ escape_string k ^ "\":" ^ render v)
-           kvs)
-    ^ "}"

@@ -1,14 +1,16 @@
-(* Allocation-light metrics registries: the fine-grained half of the
-   observability layer, below the span/counter level of trace.ml.
+(* Allocation-light metrics registries: everything an algorithm
+   invocation reports beside its span in trace.ml.
 
    A registry belongs to one algorithm invocation and holds named
-   counters, gauges, and log2-bucketed histograms.  Handles ([counter],
-   [histogram]) are looked up once outside the hot loop; recording into
-   them is a couple of stores and never allocates, so metrics can sit
-   inside per-node and per-cut loops.  A [Null] registry hands out a
-   shared scratch handle whose updates go nowhere, so call sites need no
-   branches — but hot loops should still guard with [enabled] to skip
-   building observation values at all.
+   counters (the pass's decision counters: candidates tried, accepted,
+   rejected, gain, SAT verdicts, ...), gauges, and log2-bucketed
+   histograms.  Handles ([counter], [histogram]) are looked up once
+   outside the hot loop; recording into them is a couple of stores and
+   never allocates, so metrics can sit inside per-node and per-cut
+   loops.  A [Null] registry hands out a shared scratch handle whose
+   updates go nowhere, so call sites need no branches — but hot loops
+   should still guard with [enabled] to skip building observation
+   values at all.
 
    Histograms bucket by log2: bucket 0 holds zero (and clamped negatives),
    bucket i >= 1 holds values in [2^(i-1), 2^i).  63 buckets cover the
@@ -26,12 +28,19 @@ type histogram = {
   buckets : int array;  (* 64 slots; index = bits of the observed value *)
 }
 
-type item = Counter of counter | Gauge of counter | Hist of histogram
+(* One namespace per kind, each in registration order.  Kinds render
+   into separate JSON objects, so a pass may count its total "gain" and
+   keep a "gain" histogram side by side. *)
+type 'a table = {
+  index : (string, 'a) Hashtbl.t;
+  mutable rev_items : (string * 'a) list;  (* newest first *)
+}
 
 type registry = {
   algo : string;
-  index : (string, item) Hashtbl.t;
-  mutable rev_names : string list;  (* registration order, newest first *)
+  counters : counter table;
+  gauges : counter table;
+  hists : histogram table;
 }
 
 type t = Null | Reg of registry
@@ -39,8 +48,10 @@ type t = Null | Reg of registry
 let null = Null
 let enabled = function Null -> false | Reg _ -> true
 
+let table () = { index = Hashtbl.create 8; rev_items = [] }
+
 let create ~algo () =
-  Reg { algo; index = Hashtbl.create 8; rev_names = [] }
+  Reg { algo; counters = table (); gauges = table (); hists = table () }
 
 (* The conventional constructor: a registry exactly when the trace is
    live, [Null] (free) otherwise. *)
@@ -55,41 +66,37 @@ let new_histogram () =
 let scratch_counter = { c = 0 }
 let scratch_histogram = new_histogram ()
 
-let register reg name item =
-  match Hashtbl.find_opt reg.index name with
+let register tbl name make =
+  match Hashtbl.find_opt tbl.index name with
   | Some existing -> existing
   | None ->
-    Hashtbl.replace reg.index name item;
-    reg.rev_names <- name :: reg.rev_names;
+    let item = make () in
+    Hashtbl.replace tbl.index name item;
+    tbl.rev_items <- (name, item) :: tbl.rev_items;
     item
 
 let counter t name =
   match t with
   | Null -> scratch_counter
-  | Reg reg -> (
-    match register reg name (Counter { c = 0 }) with
-    | Counter c -> c
-    | Gauge _ | Hist _ -> invalid_arg ("Metrics.counter: " ^ name))
+  | Reg reg -> register reg.counters name (fun () -> { c = 0 })
 
 let gauge t name =
   match t with
   | Null -> scratch_counter
-  | Reg reg -> (
-    match register reg name (Gauge { c = 0 }) with
-    | Gauge c -> c
-    | Counter _ | Hist _ -> invalid_arg ("Metrics.gauge: " ^ name))
+  | Reg reg -> register reg.gauges name (fun () -> { c = 0 })
 
 let histogram t name =
   match t with
   | Null -> scratch_histogram
-  | Reg reg -> (
-    match register reg name (Hist (new_histogram ())) with
-    | Hist h -> h
-    | Counter _ | Gauge _ -> invalid_arg ("Metrics.histogram: " ^ name))
+  | Reg reg -> register reg.hists name new_histogram
 
 let incr c = c.c <- c.c + 1
 let add c v = c.c <- c.c + v
 let set c v = c.c <- v
+
+(* Add each [(name, value)] to the counter of that name.  Callers guard
+   with [enabled] so an untraced run does not even build the list. *)
+let add_counters t kvs = List.iter (fun (name, v) -> add (counter t name) v) kvs
 
 (* Bucket index of [v]: its bit count.  0 (and negatives, clamped) land in
    bucket 0; 1 in bucket 1; [2,3] in bucket 2; ... max_int (62 bits) in
@@ -140,16 +147,21 @@ let summary (h : histogram) : Trace.hist =
 let emit t trace =
   match t with
   | Null -> ()
-  | Reg reg ->
-    if reg.rev_names <> [] then begin
-      let counters = ref [] and gauges = ref [] and hists = ref [] in
-      List.iter
-        (fun name ->
-          match Hashtbl.find reg.index name with
-          | Counter c -> counters := (name, c.c) :: !counters
-          | Gauge c -> gauges := (name, c.c) :: !gauges
-          | Hist h -> hists := (name, summary h) :: !hists)
-        reg.rev_names;
-      Trace.metrics trace ~algo:reg.algo ~counters:!counters ~gauges:!gauges
-        ~hists:!hists
-    end
+  | Reg { algo; counters; gauges; hists } ->
+    if counters.rev_items <> [] || gauges.rev_items <> [] || hists.rev_items <> []
+    then
+      let values tbl f = List.rev_map (fun (name, x) -> (name, f x)) tbl.rev_items in
+      Trace.metrics trace ~algo
+        ~counters:(values counters (fun c -> c.c))
+        ~gauges:(values gauges (fun c -> c.c))
+        ~hists:(values hists summary)
+
+(* A one-shot registry for a caller that keeps no registry of its own
+   (the portfolio roster, partition carving and pieces, the CLI's fault
+   tallies): its counters become one metrics event. *)
+let emit_counters trace ~algo kvs =
+  let m = of_trace trace ~algo in
+  if enabled m then begin
+    add_counters m kvs;
+    emit m trace
+  end

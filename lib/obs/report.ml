@@ -13,7 +13,9 @@
 (* Rebuild trace events from a JSONL file.  Histogram payloads of metrics
    events are summarized away (count/min/max survive via the JSON but are
    not needed for tables); unknown events — including the meta line and
-   the retired "race" events of older traces — are skipped. *)
+   the retired "race" events of older traces — are skipped.  Older traces
+   also carry a separate "counters" event per pass; it loads as the
+   counters-only metrics event that today's passes fold it into. *)
 let events_of_json (lines : Json.t list) : Trace.event list =
   List.filter_map
     (fun j ->
@@ -70,12 +72,14 @@ let events_of_json (lines : Json.t list) : Trace.event list =
              })
       | Some "counters" ->
         Some
-          (Trace.Counters
+          (Trace.Metrics
              {
                t;
                flow;
                algo = Option.value ~default:"" (Json.str_member "algo" j);
                counters = counters "counters";
+               gauges = [];
+               hists = [];
              })
       | Some "metrics" ->
         Some
@@ -112,78 +116,105 @@ let events_of_json (lines : Json.t list) : Trace.event list =
       | _ -> None)
     lines
 
-let load_trace path : Trace.t =
+(* A trace cut mid-line (a killed run, a full disk) still loads: lines
+   that do not parse are skipped, and their count is returned so the
+   caller can say how much was lost. *)
+let load_trace path : Trace.t * int =
   let ic = open_in path in
-  let lines = ref [] in
+  let lines = ref [] and skipped = ref 0 in
   (try
      while true do
        let line = input_line ic in
-       if String.trim line <> "" then lines := Json.parse line :: !lines
+       if String.trim line <> "" then
+         match Json.parse line with
+         | j -> lines := j :: !lines
+         | exception Json.Parse_error _ -> incr skipped
      done
    with End_of_file -> close_in ic);
-  Trace.of_events (events_of_json (List.rev !lines))
+  (Trace.of_events (events_of_json (List.rev !lines)), !skipped)
 
-(* The per-pass table with GC and SAT accounting: time %, gate/depth
-   deltas, minor/major words allocated during the pass, SAT kernel
-   conflicts/propagations attributed to it, and degradation markers. *)
+let pp_counters fmt cs =
+  Format.pp_print_string fmt
+    (String.concat " "
+       (List.map
+          (fun (algo, counters) ->
+            algo ^ "("
+            ^ String.concat ","
+                (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) counters)
+            ^ ")")
+          cs))
+
+(* The per-pass table, printed by both [opt --stats] and [report --trace]:
+   time %, gate/depth deltas, minor/major words allocated during the
+   pass, SAT kernel conflicts/propagations attributed to it, degradation
+   markers, and the decision counters of every algorithm the pass ran.
+   The flow and pass columns are as wide as their longest label.
+   Degradation markers and fault tallies follow the table, and are
+   printed even when the run failed before its first span. *)
 let pp_trace fmt (t : Trace.t) =
   let rows = Trace.summarize t in
-  if rows = [] then
-    Format.fprintf fmt "trace: no spans recorded (empty or meta-only file)@."
-  else begin
-    let total = List.fold_left (fun a r -> a +. r.Trace.row_elapsed) 0.0 rows in
-    let pct e = if total <= 0.0 then 0.0 else 100.0 *. e /. total in
-    Format.fprintf fmt
-      "%4s  %-20s %-10s | %8s %5s | %5s | %8s %5s | %10s %10s | %9s %11s | %3s@."
-      "#" "flow" "pass" "gates" "dG" "dD" "time" "%" "minor_w" "major_w"
-      "sat_confl" "sat_props" "deg";
+  (if rows = [] then
+     Format.fprintf fmt "trace: no spans recorded (empty or meta-only file)@."
+   else begin
+     let width label f =
+       List.fold_left (fun w r -> max w (String.length (f r))) (String.length label)
+         rows
+     in
+     let fw = width "total" (fun r -> r.Trace.row_flow)
+     and pw = width "pass" (fun r -> r.Trace.row_pass) in
+     let total = List.fold_left (fun a r -> a +. r.Trace.row_elapsed) 0.0 rows in
+     let pct e = if total <= 0.0 then 0.0 else 100.0 *. e /. total in
+     Format.fprintf fmt
+       "%4s  %-*s %-*s | %8s %5s | %5s | %8s %6s | %10s %10s | %9s %11s | %3s | %s@."
+       "#" fw "flow" pw "pass" "gates" "dG" "dD" "time" "%" "minor_w" "major_w"
+       "sat_confl" "sat_props" "deg" "counters";
+     List.iter
+       (fun (r : Trace.pass_row) ->
+         Format.fprintf fmt
+           "%4d  %-*s %-*s | %8d %5d | %5d | %7.3fs %5.1f%% | %10.0f %10.0f | %9d %11d | %3d | %a@."
+           r.Trace.row_index fw r.Trace.row_flow pw r.Trace.row_pass
+           r.Trace.gates_after
+           (r.Trace.gates_after - r.Trace.gates_before)
+           (r.Trace.depth_after - r.Trace.depth_before)
+           r.Trace.row_elapsed (pct r.Trace.row_elapsed)
+           r.Trace.row_gc.Trace.minor_words r.Trace.row_gc.Trace.major_words
+           r.Trace.row_sat_conflicts r.Trace.row_sat_propagations
+           r.Trace.row_degraded pp_counters r.Trace.row_counters)
+       rows;
+     let sum f = List.fold_left (fun a r -> a +. f r) 0.0 rows in
+     let sumi f = List.fold_left (fun a r -> a + f r) 0 rows in
+     Format.fprintf fmt
+       "%4s  %-*s %-*s | %8s %5d | %5d | %7.3fs %6s | %10.0f %10.0f | %9d %11d | %3d |@."
+       "" fw "total" pw "" ""
+       (sumi (fun r -> r.Trace.gates_after - r.Trace.gates_before))
+       (sumi (fun r -> r.Trace.depth_after - r.Trace.depth_before))
+       total "100%"
+       (sum (fun r -> r.Trace.row_gc.Trace.minor_words))
+       (sum (fun r -> r.Trace.row_gc.Trace.major_words))
+       (sumi (fun r -> r.Trace.row_sat_conflicts))
+       (sumi (fun r -> r.Trace.row_sat_propagations))
+       (sumi (fun r -> r.Trace.row_degraded))
+   end);
+  (* a run that degraded anywhere gets its markers spelled out under the
+     table — the per-row count says "how many", these lines say "why" *)
+  let degs = Trace.degraded_events t in
+  if degs <> [] then begin
+    Format.fprintf fmt "degraded: %d marker(s)@." (List.length degs);
     List.iter
-      (fun (r : Trace.pass_row) ->
-        Format.fprintf fmt
-          "%4d  %-20s %-10s | %8d %5d | %5d | %7.3fs %4.1f%% | %10.0f %10.0f | %9d %11d | %3d@."
-          r.Trace.row_index r.Trace.row_flow r.Trace.row_pass
-          r.Trace.gates_after
-          (r.Trace.gates_after - r.Trace.gates_before)
-          (r.Trace.depth_after - r.Trace.depth_before)
-          r.Trace.row_elapsed (pct r.Trace.row_elapsed)
-          r.Trace.row_gc.Trace.minor_words r.Trace.row_gc.Trace.major_words
-          r.Trace.row_sat_conflicts r.Trace.row_sat_propagations
-          r.Trace.row_degraded)
-      rows;
-    let sum f = List.fold_left (fun a r -> a +. f r) 0.0 rows in
-    let sumi f = List.fold_left (fun a r -> a + f r) 0 rows in
-    Format.fprintf fmt
-      "%4s  %-20s %-10s | %8s %5d | %5d | %7.3fs %5s | %10.0f %10.0f | %9d %11d | %3d@."
-      "" "total" "" ""
-      (sumi (fun r -> r.Trace.gates_after - r.Trace.gates_before))
-      (sumi (fun r -> r.Trace.depth_after - r.Trace.depth_before))
-      total "100%"
-      (sum (fun r -> r.Trace.row_gc.Trace.minor_words))
-      (sum (fun r -> r.Trace.row_gc.Trace.major_words))
-      (sumi (fun r -> r.Trace.row_sat_conflicts))
-      (sumi (fun r -> r.Trace.row_sat_propagations))
-      (sumi (fun r -> r.Trace.row_degraded));
-    (* a run that degraded anywhere gets its markers spelled out under the
-       table — the per-row count says "how many", these lines say "why" *)
-    let degs = Trace.degraded_events t in
-    if degs <> [] then begin
-      Format.fprintf fmt "degraded: %d marker(s)@." (List.length degs);
-      List.iter
-        (fun (pass, reason, detail) ->
-          Format.fprintf fmt "  %-16s %-10s %s@." pass reason detail)
-        degs
-    end;
-    (* fault-injection telemetry (CLI runs under GENLOG_FAULTS emit one
-       "faults" counters event at exit) *)
-    List.iter
-      (function
-        | Trace.Counters { algo = "faults"; counters; _ } ->
-          Format.fprintf fmt "faults: %s@."
-            (String.concat " "
-               (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) counters))
-        | _ -> ())
-      (Trace.events t)
-  end
+      (fun (pass, reason, detail) ->
+        Format.fprintf fmt "  %-16s %-10s %s@." pass reason detail)
+      degs
+  end;
+  (* fault-injection telemetry (CLI runs under GENLOG_FAULTS emit one
+     "faults" metrics event at exit, outside any span) *)
+  List.iter
+    (function
+      | Trace.Metrics { algo = "faults"; counters; _ } ->
+        Format.fprintf fmt "faults: %s@."
+          (String.concat " "
+             (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) counters))
+      | _ -> ())
+    (Trace.events t)
 
 (* -- bench side: BENCH_*.json rows -- *)
 

@@ -3,11 +3,11 @@
    A [Trace.t] is a sink for structured events describing what an
    optimization flow did: one [Pass_begin]/[Pass_end] span per script
    command (wall time plus gate/depth before and after, plus the GC work
-   the pass caused), one [Counters] event per algorithm invocation
-   (candidates tried / accepted / rejected-by-gain, SAT verdicts, LUT-map
-   results, ...), one [Metrics] event per algorithm registry (see
-   metrics.ml: log2-bucketed histograms, gauges), and — when sampling is
-   on — [Node_event]s recording individual candidate decisions.
+   the pass caused), one [Metrics] event per algorithm invocation (see
+   metrics.ml: its decision counters — candidates tried / accepted /
+   rejected-by-gain, SAT verdicts, LUT-map results, ... — plus gauges and
+   log2-bucketed histograms), and — when sampling is on — [Node_event]s
+   recording individual candidate decisions.
    mockturtle attaches a stats object to every algorithm for the same
    reason: without per-pass numbers a flow is a black box and regressions
    can only be localized at whole-flow granularity.
@@ -91,7 +91,6 @@ type event =
       elapsed : float;
       gc : gc_delta;
     }
-  | Counters of { t : float; flow : string; algo : string; counters : counters }
   | Metrics of {
       t : float;
       flow : string;
@@ -202,17 +201,8 @@ let pass_end t ?(gc = gc_zero) ~pass ~index ~gates ~depth ~elapsed () =
       Pass_end { t = now s; flow = s.flow; pass; index; gates; depth; elapsed; gc }
       :: s.rev_events
 
-(* Per-algorithm counters, emitted between the enclosing span's begin and
-   end events.  Call sites guard with [enabled] when building the counter
-   list itself has a cost. *)
-let report t ~algo counters =
-  match t with
-  | Null -> ()
-  | Sink s ->
-    s.rev_events <-
-      Counters { t = now s; flow = s.flow; algo; counters } :: s.rev_events
-
-(* A rendered metrics registry (metrics.ml builds the payload). *)
+(* A rendered metrics registry (metrics.ml builds the payload), emitted
+   between the enclosing span's begin and end events. *)
 let metrics t ~algo ~counters ~gauges ~hists =
   match t with
   | Null -> ()
@@ -288,6 +278,13 @@ let json_of_hist h =
     (String.concat ","
        (List.map (fun (b, c) -> Printf.sprintf "\"%d\":%d" b c) h.h_buckets))
 
+(* Span times are written exactly (the shortest of %.15g / %.17g that
+   reads back as the same float), so a reloaded trace prints the same
+   per-pass table as the live one. *)
+let exact_float f =
+  let s = Printf.sprintf "%.15g" f in
+  if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
 let json_of_event = function
   | Pass_begin { t; flow; pass; index; gates; depth } ->
     Printf.sprintf
@@ -295,12 +292,9 @@ let json_of_event = function
       t (escape flow) (escape pass) index gates depth
   | Pass_end { t; flow; pass; index; gates; depth; elapsed; gc } ->
     Printf.sprintf
-      "{\"event\":\"pass_end\",\"t\":%.6f,\"flow\":\"%s\",\"pass\":\"%s\",\"index\":%d,\"gates\":%d,\"depth\":%d,\"elapsed\":%.6f,\"gc\":%s}"
-      t (escape flow) (escape pass) index gates depth elapsed (json_of_gc gc)
-  | Counters { t; flow; algo; counters } ->
-    Printf.sprintf
-      "{\"event\":\"counters\",\"t\":%.6f,\"flow\":\"%s\",\"algo\":\"%s\",\"counters\":%s}"
-      t (escape flow) (escape algo) (json_of_counters counters)
+      "{\"event\":\"pass_end\",\"t\":%.6f,\"flow\":\"%s\",\"pass\":\"%s\",\"index\":%d,\"gates\":%d,\"depth\":%d,\"elapsed\":%s,\"gc\":%s}"
+      t (escape flow) (escape pass) index gates depth (exact_float elapsed)
+      (json_of_gc gc)
   | Metrics { t; flow; algo; counters; gauges; hists } ->
     Printf.sprintf
       "{\"event\":\"metrics\",\"t\":%.6f,\"flow\":\"%s\",\"algo\":\"%s\",\"counters\":%s,\"gauges\":%s,\"hists\":{%s}}"
@@ -382,8 +376,9 @@ let rec find_ancestor_span pending flow =
     | None -> if flow = "" then None else find_ancestor_span pending "")
 
 (* Pair begin/end events into rows.  Spans never nest within one flow, so a
-   single pending slot per flow label suffices; counter, metrics and
-   degradation events attach to the open span of their flow. *)
+   single pending slot per flow label suffices.  A metrics event's
+   counters attach to the open span of its own flow; its SAT gauges and
+   degradation markers attach to the nearest open ancestor span. *)
 let summarize t : pass_row list =
   let pending : (string, pass_row) Hashtbl.t = Hashtbl.create 4 in
   let rows = ref [] in
@@ -406,13 +401,12 @@ let summarize t : pass_row list =
             row_sat_propagations = 0;
             row_degraded = 0;
           }
-      | Counters { flow; algo; counters; _ } -> (
-        match Hashtbl.find_opt pending flow with
-        | Some row ->
+      | Metrics { flow; algo; counters; gauges; _ } -> (
+        (match Hashtbl.find_opt pending flow with
+        | Some row when counters <> [] ->
           Hashtbl.replace pending flow
             { row with row_counters = row.row_counters @ [ (algo, counters) ] }
-        | None -> ())
-      | Metrics { flow; gauges; _ } -> (
+        | _ -> ());
         match find_ancestor_span pending flow with
         | Some (key, row) ->
           let c, p = sat_of_gauges gauges in
@@ -448,26 +442,6 @@ let summarize t : pass_row list =
     (events t);
   List.rev !rows
 
-let pp_counters fmt cs =
-  Format.fprintf fmt "%s"
-    (String.concat " "
-       (List.map
-          (fun (algo, counters) ->
-            algo ^ "("
-            ^ String.concat ","
-                (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) counters)
-            ^ ")")
-          cs))
-
-(* The SAT annotation appended to a row's counters column: nothing
-   when the pass did no SAT work, so pure-rewrite tables stay clean. *)
-let pp_sat fmt r =
-  if r.row_sat_conflicts <> 0 || r.row_sat_propagations <> 0 then
-    Format.fprintf fmt " sat(confl=%d,props=%d)" r.row_sat_conflicts
-      r.row_sat_propagations;
-  if r.row_degraded > 0 then
-    Format.fprintf fmt " DEGRADED(%d)" r.row_degraded
-
 (* All degradation markers in event order, whether or not a span was open
    to attribute them to (CLI-level markers land outside any span). *)
 let degraded_events t =
@@ -478,47 +452,3 @@ let degraded_events t =
     (events t)
 
 let degraded_count t = List.length (degraded_events t)
-
-(* The per-pass table: one row per span plus a totals row; the [%] column
-   is each pass's share of the summed wall time, so the table answers
-   "where did the time go" without a calculator. *)
-let pp_summary fmt t =
-  let rows = summarize t in
-  if rows = [] then Format.fprintf fmt "trace: no spans recorded@."
-  else begin
-    let total_elapsed =
-      List.fold_left (fun acc r -> acc +. r.row_elapsed) 0.0 rows
-    in
-    let pct e =
-      if total_elapsed <= 0.0 then 0.0 else 100.0 *. e /. total_elapsed
-    in
-    Format.fprintf fmt
-      "%4s  %-16s %-10s | %7s %7s %5s | %5s %5s | %8s %5s  %s@."
-      "#" "flow" "pass" "gates" "->" "dG" "depth" "->" "time" "%" "counters";
-    List.iter
-      (fun r ->
-        Format.fprintf fmt
-          "%4d  %-16s %-10s | %7d %7d %5d | %5d %5d | %7.3fs %4.1f%%  %a%a@."
-          r.row_index r.row_flow r.row_pass r.gates_before r.gates_after
-          (r.gates_after - r.gates_before)
-          r.depth_before r.depth_after r.row_elapsed (pct r.row_elapsed)
-          pp_counters r.row_counters pp_sat r)
-      rows;
-    match (rows, List.rev rows) with
-    | first :: _, last :: _ ->
-      Format.fprintf fmt
-        "%4s  %-16s %-10s | %7d %7d %5d | %5d %5d | %7.3fs %4.1f%%@."
-        "" "total" "" first.gates_before last.gates_after
-        (List.fold_left (fun a r -> a + (r.gates_after - r.gates_before)) 0 rows)
-        first.depth_before last.depth_after total_elapsed
-        (pct total_elapsed)
-    | _ -> ()
-  end;
-  let degs = degraded_events t in
-  if degs <> [] then begin
-    Format.fprintf fmt "degraded: %d event(s)@." (List.length degs);
-    List.iter
-      (fun (pass, reason, detail) ->
-        Format.fprintf fmt "  %-16s %-10s %s@." pass reason detail)
-      degs
-  end

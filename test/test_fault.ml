@@ -380,7 +380,7 @@ let test_degraded_trace_round_trip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let t' = Obs.Report.load_trace path in
+      let t', _ = Obs.Report.load_trace path in
       Alcotest.(check int)
         "marker survives JSONL" 1
         (Obs.Trace.degraded_count t');

@@ -84,11 +84,12 @@ let run_smoke ~cost name =
       lut_levels = m.L.depth;
     }
   in
-  (* aggregate per-pass decision counters across the whole script *)
+  (* aggregate per-pass decision counters (carried by each invocation's
+     metrics event) across the whole script *)
   let tbl = Hashtbl.create 8 in
   List.iter
     (function
-      | Obs.Trace.Counters { algo; counters; _ } ->
+      | Obs.Trace.Metrics { algo; counters; _ } ->
         let g k = Option.value ~default:0 (List.assoc_opt k counters) in
         let t0, a0 =
           Option.value ~default:(0, 0) (Hashtbl.find_opt tbl algo)

@@ -26,13 +26,13 @@ let span_events trace =
     (function
       | T.Pass_begin { pass; index; _ } -> Some ("pass_begin", pass, index)
       | T.Pass_end { pass; index; _ } -> Some ("pass_end", pass, index)
-      | T.Counters _ | T.Metrics _ | T.Node_event _ | T.Degraded _ -> None)
+      | T.Metrics _ | T.Node_event _ | T.Degraded _ -> None)
     (T.events trace)
 
 let test_null_sink () =
   Alcotest.(check bool) "null disabled" false (T.enabled T.null);
   T.pass_begin T.null ~pass:"bz" ~index:0 ~gates:1 ~depth:1;
-  T.report T.null ~algo:"balance" [ ("tried", 1) ];
+  Obs.Metrics.emit_counters T.null ~algo:"balance" [ ("tried", 1) ];
   Alcotest.(check int) "null buffers nothing" 0 (List.length (T.events T.null))
 
 (* Golden span sequence: one begin/end pair per script command, in command
@@ -56,7 +56,6 @@ let test_span_sequence () =
 let timestamp = function
   | T.Pass_begin { t; _ }
   | T.Pass_end { t; _ }
-  | T.Counters { t; _ }
   | T.Metrics { t; _ }
   | T.Node_event { t; _ }
   | T.Degraded { t; _ } -> t
@@ -64,7 +63,6 @@ let timestamp = function
 let flow_of = function
   | T.Pass_begin { flow; _ }
   | T.Pass_end { flow; _ }
-  | T.Counters { flow; _ }
   | T.Metrics { flow; _ }
   | T.Node_event { flow; _ }
   | T.Degraded { flow; _ } -> flow
@@ -182,8 +180,9 @@ let test_jsonl_rendering () =
           Alcotest.(check bool) "has event field" true has_event)
         lines)
 
-(* Counters events are emitted inside their enclosing span and attached by
-   [summarize]; every optimization pass reports at least one counter. *)
+(* Each pass's metrics event is emitted inside its enclosing span, and
+   [summarize] attaches its counters; every optimization pass reports at
+   least one counter. *)
 let test_counters_attached () =
   let _, _, trace = traced_run () in
   let rows = T.summarize trace in
@@ -208,7 +207,7 @@ let test_portfolio_trace () =
     List.sort_uniq compare
       (List.filter_map
          (fun e ->
-           (* the parent sink carries one roster-level counters record on
+           (* the parent sink carries one roster-level metrics event on
               the root flow ""; the per-representation labels are the
               children's *)
            match flow_of e with "" -> None | f -> Some f)
@@ -329,7 +328,7 @@ let test_node_sampling () =
 
 let test_summary_totals () =
   let _, _, trace = traced_run () in
-  let s = Format.asprintf "%a" T.pp_summary trace in
+  let s = Format.asprintf "%a" Obs.Report.pp_trace trace in
   let contains needle =
     let n = String.length s and m = String.length needle in
     let rec scan i = i + m <= n && (String.sub s i m = needle || scan (i + 1)) in

@@ -1,7 +1,8 @@
 (* Tests for the offline observability consumers: the minimal JSON
    parser, the BENCH QoR regression gate ([Report.check]), the JSONL
-   round-trip through [Report.load_trace], and the Chrome trace-event
-   export (valid JSON, per-track timestamp monotonicity). *)
+   round-trip through [Report.load_trace] (including torn and legacy
+   traces), the per-pass table, and the Chrome trace-event export (valid
+   JSON, per-track timestamp monotonicity). *)
 
 module T = Obs.Trace
 module J = Obs.Json
@@ -201,7 +202,7 @@ let sample_trace () =
   List.iter
     (fun tr ->
       T.pass_begin tr ~pass:"rw" ~index:0 ~gates:100 ~depth:10;
-      T.report tr ~algo:"rewrite" [ ("tried", 5) ];
+      Obs.Metrics.emit_counters tr ~algo:"rewrite" [ ("tried", 5) ];
       T.node_event tr ~algo:"rewrite" ~node:7 ~gain:2 ~accepted:true;
       T.pass_end tr ~pass:"rw" ~index:0 ~gates:90 ~depth:9 ~elapsed:0.25 ();
       T.pass_begin tr ~pass:"bz" ~index:1 ~gates:90 ~depth:9;
@@ -217,7 +218,8 @@ let test_trace_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       T.write_file trace path;
-      let reloaded = R.load_trace path in
+      let reloaded, skipped = R.load_trace path in
+      Alcotest.(check int) "nothing skipped" 0 skipped;
       Alcotest.(check int) "event count survives"
         (List.length (T.events trace))
         (List.length (T.events reloaded));
@@ -267,11 +269,135 @@ let test_trace_skips_retired_race () =
       close_in ic;
       close_out oc;
       Alcotest.(check bool) "race line inserted" true !placed;
-      let rows path = T.summarize (R.load_trace path) in
+      let rows path = T.summarize (fst (R.load_trace path)) in
       Alcotest.(check bool) "same pass rows" true (rows clean = rows old);
       Alcotest.(check int) "same event count"
-        (List.length (T.events (R.load_trace clean)))
-        (List.length (T.events (R.load_trace old))))
+        (List.length (T.events (fst (R.load_trace clean))))
+        (List.length (T.events (fst (R.load_trace old)))))
+
+(* Read [path], apply [f] to its lines, and write the result to a fresh
+   temp file, whose path is returned. *)
+let rewrite_lines path f =
+  let ic = open_in path in
+  let lines = ref [] in
+  (try
+     while true do
+       lines := input_line ic :: !lines
+     done
+   with End_of_file -> close_in ic);
+  let out = Filename.temp_file "genlog_report_edit" ".jsonl" in
+  let oc = open_out out in
+  List.iter (fun l -> output_string oc (l ^ "\n")) (f (List.rev !lines));
+  close_out oc;
+  out
+
+(* Traces written before the decision counters moved into the metrics
+   event carry them in a separate "counters" line beside it.  Such a
+   trace loads to the same pass rows — counters included — as today's. *)
+let test_trace_legacy_counters () =
+  let clean = Filename.temp_file "genlog_report" ".jsonl" in
+  T.write_file (sample_trace ()) clean;
+  let split line =
+    let j = J.parse line in
+    match (J.str_member "event" j, J.member "counters" j) with
+    | Some "metrics", Some (J.Obj kvs) ->
+      let counters =
+        String.concat ","
+          (List.map
+             (fun (k, v) ->
+               Printf.sprintf "\"%s\":%d" k
+                 (int_of_float (Option.get (J.to_num v))))
+             kvs)
+      in
+      [
+        Printf.sprintf
+          "{\"event\":\"counters\",\"t\":%f,\"flow\":\"%s\",\"algo\":\"%s\",\
+           \"counters\":{%s}}"
+          (Option.get (J.num_member "t" j))
+          (Option.get (J.str_member "flow" j))
+          (Option.get (J.str_member "algo" j))
+          counters;
+        Printf.sprintf
+          "{\"event\":\"metrics\",\"t\":%f,\"flow\":\"%s\",\"algo\":\"%s\",\
+           \"counters\":{},\"gauges\":{},\"hists\":{}}"
+          (Option.get (J.num_member "t" j))
+          (Option.get (J.str_member "flow" j))
+          (Option.get (J.str_member "algo" j));
+      ]
+    | _ -> [ line ]
+  in
+  let old = rewrite_lines clean (List.concat_map split) in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove clean; Sys.remove old)
+    (fun () ->
+      let legacy_lines =
+        List.length
+          (List.filter
+             (function
+               | T.Metrics { counters = _ :: _; gauges = []; _ } -> true
+               | _ -> false)
+             (T.events (fst (R.load_trace old))))
+      in
+      Alcotest.(check int) "one legacy line per flow" 2 legacy_lines;
+      let rows path = T.summarize (fst (R.load_trace path)) in
+      Alcotest.(check bool) "counters attached" true
+        (List.exists (fun r -> r.T.row_counters <> []) (rows old));
+      Alcotest.(check bool) "same pass rows and counters" true
+        (rows clean = rows old))
+
+(* A trace cut mid-line (a killed run) loads the rows of its complete
+   spans; the torn line is skipped and counted, and the table prints. *)
+let test_trace_torn_tail () =
+  let full = Filename.temp_file "genlog_report" ".jsonl" in
+  T.write_file (sample_trace ()) full;
+  let ic = open_in_bin full in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  (* cut inside the last line, the final span's pass_end *)
+  let last_start = String.rindex_from text (String.length text - 2) '\n' + 1 in
+  let torn = Filename.temp_file "genlog_report_torn" ".jsonl" in
+  let oc = open_out_bin torn in
+  output_string oc (String.sub text 0 (last_start + 20));
+  close_out oc;
+  Fun.protect
+    ~finally:(fun () -> Sys.remove full; Sys.remove torn)
+    (fun () ->
+      let trace, skipped = R.load_trace torn in
+      Alcotest.(check int) "torn line skipped" 1 skipped;
+      let all_rows = T.summarize (fst (R.load_trace full)) in
+      let rows = T.summarize trace in
+      Alcotest.(check int) "complete spans kept" (List.length all_rows - 1)
+        (List.length rows);
+      Alcotest.(check bool) "rows of complete spans" true
+        (rows = List.filteri (fun i _ -> i < List.length rows) all_rows);
+      Alcotest.(check bool) "table prints" true
+        (Format.asprintf "%a" R.pp_trace trace <> ""))
+
+(* [opt --stats] prints [pp_trace] of the live trace and [report --trace]
+   prints it of the written file: both must be the same table. *)
+let test_pp_trace_roundtrip () =
+  let module F = Flow.Engine.Make (Network.Aig) in
+  let module S = Lsgen.Suite.Make (Network.Aig) in
+  let trace = T.create ~flow:"ctrl" () in
+  ignore
+    (F.run_script (Flow.Engine.aig_env ()) ~trace (S.build "ctrl")
+       Flow.Script.compress2rs);
+  let path = Filename.temp_file "genlog_report" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      T.write_file trace path;
+      let live = Format.asprintf "%a" R.pp_trace trace in
+      let reloaded = Format.asprintf "%a" R.pp_trace (fst (R.load_trace path)) in
+      Alcotest.(check string) "same table" live reloaded;
+      let contains sub =
+        let n = String.length sub in
+        let rec go i =
+          i + n <= String.length live && (String.sub live i n = sub || go (i + 1))
+        in
+        go 0
+      in
+      Alcotest.(check bool) "counters column" true (contains "rewrite(tried="))
 
 (* -- Chrome trace-event export -- *)
 
@@ -359,7 +485,7 @@ let test_retired_cache_block () =
        with End_of_file -> ());
       close_in ic;
       close_out oc;
-      let rows path = T.summarize (R.load_trace path) in
+      let rows path = T.summarize (fst (R.load_trace path)) in
       Alcotest.(check bool) "same pass rows" true (rows clean = rows old));
   let bench block =
     J.parse
@@ -399,5 +525,11 @@ let suite =
     Alcotest.test_case "trace jsonl round-trip" `Quick test_trace_roundtrip;
     Alcotest.test_case "trace loader skips retired race events" `Quick
       test_trace_skips_retired_race;
+    Alcotest.test_case "trace loader folds legacy counters lines" `Quick
+      test_trace_legacy_counters;
+    Alcotest.test_case "trace loader survives a torn tail" `Quick
+      test_trace_torn_tail;
+    Alcotest.test_case "pp_trace: live and reloaded tables agree" `Quick
+      test_pp_trace_roundtrip;
     Alcotest.test_case "chrome export golden" `Quick test_chrome_export;
   ]

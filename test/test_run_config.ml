@@ -9,7 +9,7 @@ let cfg =
 let test_json_round_trip () =
   let c =
     RC.make ~representation:RC.Xmg ~script:"bz; rw; rf" ~trace_path:"t.jsonl"
-      ~stats:true ~sample:10 ~partition:500 ~jobs:3 ~budget:1000 ~cost:"depth"
+      ~stats:true ~sample:10 ~partition:500 ~jobs:3 ~cost:"depth"
       ~timeout:1.5 ~retries:2 ~faults:"parmap.job:0.1,sat.solve:1:2" ()
   in
   match RC.of_json_string (RC.to_json c) with
@@ -33,10 +33,10 @@ let test_json_rejects_unknown () =
   | Ok _ -> Alcotest.fail "accepted non-object"
   | Error _ -> ()
 
-(* A job spec from before the SAT portfolio, the kernel switch and the
-   on-disk exact-synthesis store were removed: the retired "sat_jobs",
-   "kernel" and "cache" keys are ignored, every other field loads, and
-   the result round-trips. *)
+(* A job spec from before the SAT portfolio, the kernel switch, the
+   on-disk exact-synthesis store and the unread CEC budget were removed:
+   the retired "sat_jobs", "kernel", "cache" and "budget" keys are
+   ignored, every other field loads, and the result round-trips. *)
 let test_json_retired_knobs () =
   let old_spec =
     "{\"representation\":\"xmg\",\"script\":\"bz; rw; rf\",\"trace\":\"t.jsonl\",\
@@ -46,7 +46,7 @@ let test_json_retired_knobs () =
   in
   let expected =
     RC.make ~representation:RC.Xmg ~script:"bz; rw; rf" ~trace_path:"t.jsonl"
-      ~stats:true ~sample:10 ~partition:500 ~jobs:3 ~budget:1000 ~cost:"depth"
+      ~stats:true ~sample:10 ~partition:500 ~jobs:3 ~cost:"depth"
       ~timeout:1.5 ~retries:2 ()
   in
   match RC.of_json_string old_spec with
@@ -109,12 +109,12 @@ let test_env_cost () =
 let test_env_layering () =
   (* env overrides defaults, explicit values override env *)
   with_env
-    [ ("GENLOG_BUDGET", "7") ]
+    [ ("GENLOG_RETRIES", "7") ]
     (fun () ->
       let base = RC.of_env () in
-      Alcotest.(check int) "env wins over default" 7 base.RC.budget;
-      let explicit = { base with RC.budget = 2 } in
-      Alcotest.(check int) "explicit wins over env" 2 explicit.RC.budget)
+      Alcotest.(check int) "env wins over default" 7 base.RC.retries;
+      let explicit = { base with RC.retries = 2 } in
+      Alcotest.(check int) "explicit wins over env" 2 explicit.RC.retries)
 
 let test_representation_strings () =
   List.iter

@@ -1,11 +1,8 @@
-(* Tests for the solver-depth telemetry layer and the cross-run history:
-   Solver snapshot monotonicity under both kernels, per-pass SAT
-   aggregation in Trace.summarize, history
-   append/rolling-median/regression logic, and the HTML dashboard's
-   golden structure. *)
+(* Tests for the solver-depth telemetry layer: Solver snapshot
+   monotonicity under both kernels, per-pass SAT aggregation in
+   Trace.summarize, and the HTML dashboard's golden structure. *)
 
 module T = Obs.Trace
-module H = Obs.History
 module J = Obs.Json
 module Solver = Satkit.Solver
 
@@ -130,15 +127,21 @@ let test_summarize_sat_attribution () =
 let test_empty_trace_graceful () =
   let str pp v = Format.asprintf "%a" pp v in
   let empty = T.of_events [] in
-  Alcotest.(check string) "pp_summary empty" "trace: no spans recorded\n"
-    (str T.pp_summary empty);
   Alcotest.(check string) "pp_trace empty"
     "trace: no spans recorded (empty or meta-only file)\n"
     (str Obs.Report.pp_trace empty);
+  (* a run that failed before its first span still shows its fault tallies *)
+  let faults_only = T.create () in
+  Obs.Metrics.emit_counters faults_only ~algo:"faults"
+    [ ("engine.pass.draws", 2); ("engine.pass.fired", 1) ];
+  Alcotest.(check string) "pp_trace faults without spans"
+    "trace: no spans recorded (empty or meta-only file)\n\
+     faults: engine.pass.draws=2 engine.pass.fired=1\n"
+    (str Obs.Report.pp_trace faults_only);
   (* a real file holding only the meta line parses to zero events *)
   let path = Filename.temp_file "meta" ".jsonl" in
   T.write_file empty path;
-  let parsed = Obs.Report.load_trace path in
+  let parsed, _ = Obs.Report.load_trace path in
   Sys.remove path;
   Alcotest.(check int) "meta-only file has no events" 0
     (List.length (T.events parsed))
@@ -147,8 +150,6 @@ let test_empty_trace_graceful () =
 
 let test_exact_telemetry () =
   Exact.Synth.reset_telemetry ();
-  let t0 = H.median [] in
-  ignore t0;
   let get k l = match List.assoc_opt k l with Some v -> v | None -> -1 in
   let before = Exact.Synth.telemetry () in
   Alcotest.(check int) "calls reset" 0 (get "calls" before);
@@ -165,99 +166,12 @@ let test_exact_telemetry () =
   Alcotest.(check bool) "propagations counted" true
     (get "solver_propagations" after > 0)
 
-(* -- history: append / load / rolling median / regression flag -- *)
-
-let bench_payload ~seconds ~nodes ~commit ~at =
+let bench_payload ~seconds ~nodes =
   J.parse
     (Printf.sprintf
-       "{\"bench\":\"smoke\",\"schema\":2,\"git_commit\":\"%s\",\
-        \"generated_unix\":%d,\"rows\":[{\"benchmark\":\"voter\",\
+       "{\"bench\":\"smoke\",\"schema\":2,\"rows\":[{\"benchmark\":\"voter\",\
         \"stage\":\"generic\",\"nodes\":%d,\"seconds\":%f}]}"
-       commit at nodes seconds)
-
-let test_history_roundtrip () =
-  let path = Filename.temp_file "hist" ".jsonl" in
-  Sys.remove path;
-  H.append ~path (bench_payload ~seconds:1.0 ~nodes:100 ~commit:"aaa" ~at:1);
-  H.append ~path (bench_payload ~seconds:1.1 ~nodes:100 ~commit:"bbb" ~at:2);
-  (* a corrupt line must be skipped, not fatal *)
-  let oc = open_out_gen [ Open_append ] 0o644 path in
-  output_string oc "{corrupt\n";
-  close_out oc;
-  H.append ~path (bench_payload ~seconds:0.9 ~nodes:100 ~commit:"ccc" ~at:3);
-  let runs, skipped = H.load ~path in
-  Sys.remove path;
-  Alcotest.(check int) "three runs" 3 (List.length runs);
-  Alcotest.(check int) "one corrupt line skipped" 1 skipped;
-  let commits = List.map (fun (r : H.run) -> r.H.commit) runs in
-  Alcotest.(check (list string)) "append order" [ "aaa"; "bbb"; "ccc" ] commits;
-  match H.series_of_runs runs with
-  | series ->
-    let sec =
-      List.find (fun (s : H.series) -> s.H.s_field = "seconds") series
-    in
-    Alcotest.(check (list (float 1e-9))) "series in run order" [ 1.0; 1.1; 0.9 ]
-      sec.H.values
-
-let test_history_median () =
-  Alcotest.(check (float 1e-9)) "odd" 2.0 (H.median [ 3.0; 1.0; 2.0 ]);
-  Alcotest.(check (float 1e-9)) "even" 1.5 (H.median [ 1.0; 2.0 ]);
-  Alcotest.(check (float 1e-9)) "empty" 0.0 (H.median [])
-
-let test_history_regression_flag () =
-  let runs =
-    [
-      bench_payload ~seconds:1.00 ~nodes:100 ~commit:"a" ~at:1;
-      bench_payload ~seconds:1.02 ~nodes:100 ~commit:"b" ~at:2;
-      bench_payload ~seconds:0.99 ~nodes:100 ~commit:"c" ~at:3;
-    ]
-    |> List.filter_map H.run_of_json
-  in
-  (* three steady runs: no regression *)
-  Alcotest.(check int) "steady history clean" 0
-    (List.length (H.regressions runs));
-  (* +20% time on the next run trips the (15%) time gate *)
-  let with_reg =
-    runs
-    @ List.filter_map H.run_of_json
-        [ bench_payload ~seconds:1.20 ~nodes:100 ~commit:"d" ~at:4 ]
-  in
-  (match H.regressions with_reg with
-  | [ v ] ->
-    Alcotest.(check string) "regressed field" "seconds"
-      v.H.v_series.H.s_field;
-    Alcotest.(check bool) "delta is ~20%" true
-      (v.H.v_delta_pct > 15.0 && v.H.v_delta_pct < 25.0)
-  | l -> Alcotest.failf "expected 1 regression, got %d" (List.length l));
-  (* a QoR step of +1 node on 100 is under the 2% gate; +5 is over *)
-  let qor_ok =
-    runs
-    @ List.filter_map H.run_of_json
-        [ bench_payload ~seconds:1.0 ~nodes:101 ~commit:"e" ~at:5 ]
-  in
-  Alcotest.(check int) "+1% nodes passes" 0 (List.length (H.regressions qor_ok));
-  let qor_bad =
-    runs
-    @ List.filter_map H.run_of_json
-        [ bench_payload ~seconds:1.0 ~nodes:105 ~commit:"f" ~at:6 ]
-  in
-  Alcotest.(check int) "+5% nodes flagged" 1
-    (List.length (H.regressions qor_bad))
-
-let test_history_window () =
-  (* the rolling window forgets old values: after K fast runs, an old slow
-     era must not mask a regression against the recent median *)
-  let mk s i = bench_payload ~seconds:s ~nodes:100 ~commit:"x" ~at:i in
-  let runs =
-    [ mk 5.0 1; mk 1.0 2; mk 1.0 3; mk 1.0 4; mk 1.0 5; mk 1.0 6; mk 1.3 7 ]
-    |> List.filter_map H.run_of_json
-  in
-  let th = { H.default_thresholds with H.window = 5 } in
-  match H.regressions ~thresholds:th runs with
-  | [ v ] ->
-    (* reference is the median of the last 5 (all 1.0), not of everything *)
-    Alcotest.(check (float 1e-9)) "windowed reference" 1.0 v.H.v_reference
-  | l -> Alcotest.failf "expected 1 windowed regression, got %d" (List.length l)
+       nodes seconds)
 
 (* -- HTML dashboard golden structure -- *)
 
@@ -277,16 +191,8 @@ let test_html_structure () =
             elapsed = 0.2; gc = T.gc_zero };
       ]
   in
-  let bench = bench_payload ~seconds:1.0 ~nodes:100 ~commit:"aaa" ~at:1 in
-  let history =
-    [
-      bench_payload ~seconds:1.0 ~nodes:100 ~commit:"a" ~at:1;
-      bench_payload ~seconds:1.1 ~nodes:100 ~commit:"b" ~at:2;
-      bench_payload ~seconds:0.9 ~nodes:100 ~commit:"c" ~at:3;
-    ]
-    |> List.filter_map H.run_of_json
-  in
-  let html = Obs.Html.render ~trace ~bench ~history () in
+  let bench = bench_payload ~seconds:1.0 ~nodes:100 in
+  let html = Obs.Html.render ~trace ~bench () in
   let contains needle =
     let nl = String.length needle and hl = String.length html in
     let rec go i =
@@ -302,12 +208,11 @@ let test_html_structure () =
     (fun anchor ->
       Alcotest.(check bool) ("anchor " ^ anchor) true
         (contains (Printf.sprintf "id=\"%s\"" anchor)))
-    [ "meta"; "passes"; "sat"; "bench"; "history" ];
-  (* content made it in: SAT totals, bench row, sparkline *)
+    [ "meta"; "passes"; "sat"; "bench" ];
+  (* content made it in: SAT totals, bench row *)
   Alcotest.(check bool) "sat conflicts shown" true
     (contains "conflicts <b>4</b>");
   Alcotest.(check bool) "benchmark row shown" true (contains "voter");
-  Alcotest.(check bool) "sparkline svg" true (contains "<svg class=\"spark\"");
   (* self-contained: no external requests of any kind *)
   List.iter
     (fun banned ->
@@ -326,12 +231,6 @@ let suite =
       test_empty_trace_graceful;
     Alcotest.test_case "exact synthesis telemetry counters" `Quick
       test_exact_telemetry;
-    Alcotest.test_case "history append/load round trip" `Quick
-      test_history_roundtrip;
-    Alcotest.test_case "history median" `Quick test_history_median;
-    Alcotest.test_case "history regression flag" `Quick
-      test_history_regression_flag;
-    Alcotest.test_case "history rolling window" `Quick test_history_window;
     Alcotest.test_case "html dashboard golden structure" `Quick
       test_html_structure;
   ]
