@@ -133,15 +133,14 @@ let load_trace path : Trace.t * int =
    with End_of_file -> close_in ic);
   (Trace.of_events (events_of_json (List.rev !lines)), !skipped)
 
+let key_values sep kvs =
+  String.concat sep (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) kvs)
+
 let pp_counters fmt cs =
   Format.pp_print_string fmt
     (String.concat " "
        (List.map
-          (fun (algo, counters) ->
-            algo ^ "("
-            ^ String.concat ","
-                (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) counters)
-            ^ ")")
+          (fun (algo, counters) -> algo ^ "(" ^ key_values "," counters ^ ")")
           cs))
 
 (* The per-pass table, printed by both [opt --stats] and [report --trace]:
@@ -210,9 +209,7 @@ let pp_trace fmt (t : Trace.t) =
   List.iter
     (function
       | Trace.Metrics { algo = "faults"; counters; _ } ->
-        Format.fprintf fmt "faults: %s@."
-          (String.concat " "
-             (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) counters))
+        Format.fprintf fmt "faults: %s@." (key_values " " counters)
       | _ -> ())
     (Trace.events t)
 
