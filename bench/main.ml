@@ -10,7 +10,6 @@
      dune exec bench/main.exe smoke      -- fast deterministic CI QoR gate
      dune exec bench/main.exe cost       -- cost-objective matrix, CEC-checked
      dune exec bench/main.exe partition  -- partition-parallel engine vs sequential
-     dune exec bench/main.exe sat        -- CDCL kernel on CEC miters (legacy vs modern)
      dune exec bench/main.exe npn-table [DIR] -- regenerate the shipped NPN tables
 
    Every subcommand additionally writes a machine-readable
@@ -464,104 +463,6 @@ let partition_bench () =
   Bench_json.write "partition" (List.rev !rows)
 
 (* -------------------------------------------------------------------- *)
-(* Sat: the CDCL kernel on CEC miters.  Each smoke benchmark is          *)
-(* optimized with compress2rs and mitered against its own baseline — an  *)
-(* UNSAT instance whose difficulty comes from the structural divergence  *)
-(* the flow introduced.  Stages compare the legacy kernel (Luby          *)
-(* restarts, no minimization/inprocessing) with the modern kernel (LBD   *)
-(* tiers, EMA restarts, learnt minimization, inprocessing).  The         *)
-(* whole-network [div] miter is too hard for the budget ladder: what we  *)
-(* record there is *bounded* termination.                                *)
-(* -------------------------------------------------------------------- *)
-
-let sat_bench () =
-  print_endline "=== SAT kernel: legacy vs modern CDCL on CEC miters ===";
-  let module F = Flow.Make (Aig) in
-  let module C = Cec.Make (Aig) (Aig) in
-  let module Copy = Convert.Make (Aig) (Aig) in
-  let rows = ref [] in
-  Printf.printf "%-12s %-14s | %10s %9s %6s %s\n" "benchmark" "kernel"
-    "conflicts" "time" "rungs" "result";
-  let result_str = function
-    | Cec.Equivalent -> "equivalent"
-    | Cec.Counterexample _ -> "counterexample"
-    | Cec.Unknown -> "unknown"
-  in
-  let stage name stage_name ((r, rep) : Cec.result * C.report) seconds =
-    Printf.printf "%-12s %-14s | %10d %8.3fs %6d %s\n%!" name stage_name
-      rep.C.conflicts seconds rep.C.rungs_used (result_str r);
-    rows :=
-      row name stage_name
-        [ ("seconds", Bench_json.Float seconds);
-          ("conflicts", Bench_json.Int rep.C.conflicts);
-          ("rungs", Bench_json.Int rep.C.rungs_used);
-          ("winner", Bench_json.Str rep.C.winner);
-          ("result", Bench_json.Str (result_str r)) ]
-      :: !rows
-  in
-  let env = Flow.aig_env () in
-  let mig_env = Flow.mig_env () in
-  let module Fm = Flow.Make (Mig) in
-  let module To_mig = Convert.Make (Aig) (Mig) in
-  let module From_mig = Convert.Make (Mig) (Aig) in
-  (* two miters per benchmark: against the AIG-optimized copy (mild
-     structural divergence) and against a MIG-optimized round trip (deep
-     divergence — majority gates re-decomposed into ANDs share almost no
-     structure with the original, which is where the kernel earns its
-     keep) *)
-  let instances =
-    List.concat_map
-      (fun name ->
-        let baseline = Suite.build name in
-        let optimized =
-          F.run_script env (Copy.convert baseline) Script.compress2rs
-        in
-        let roundtrip =
-          From_mig.convert
-            (Fm.run_script mig_env (To_mig.convert baseline) Script.compress2rs)
-        in
-        [ (name, baseline, optimized); (name ^ "-mig", baseline, roundtrip) ])
-      [ "ctrl"; "cavlc"; "int2float"; "dec"; "router" ]
-  in
-  (* commuted multipliers: a*b against b*a shares no structure, the
-     classically hard UNSAT CEC family — this is where learnt-clause
-     minimization, tiered deletion and inprocessing pay for themselves *)
-  let module Bl = Blocks.Make (Aig) in
-  let commuted width =
-    let mult swap =
-      let t = Aig.create () in
-      let a = Bl.input_word t ~width and b = Bl.input_word t ~width in
-      Bl.output_word t (if swap then Bl.multiplier t b a else Bl.multiplier t a b);
-      t
-    in
-    (Printf.sprintf "mult%d-comm" width, mult false, mult true)
-  in
-  let instances = instances @ [ commuted 7; commuted 8 ] in
-  List.iter
-    (fun (name, a, b) ->
-      (* equivalent by construction: the miter is UNSAT; [~ladder:[]] asks
-         for a single unbounded attempt so kernels are compared head on *)
-      let legacy, t_legacy =
-        time_it (fun () ->
-            C.check_full ~ladder:[] ~config:Sat.legacy_config a b)
-      in
-      stage name "legacy" legacy t_legacy;
-      let modern, t_modern =
-        time_it (fun () ->
-            C.check_full ~ladder:[] ~config:Sat.default_config a b)
-      in
-      stage name "modern" modern t_modern)
-    instances;
-  let div = Suite.build "div" in
-  let opt_div = F.run_script env (Copy.convert div) "rw; bz" in
-  let r, t =
-    time_it (fun () -> C.check_full ~ladder:[ 10_000; 100_000 ] div opt_div)
-  in
-  stage "div" "modern-ladder" r t;
-  print_newline ();
-  Bench_json.write "sat" (List.rev !rows)
-
-(* -------------------------------------------------------------------- *)
 (* Microbenchmarks (Bechamel): the scalability kernels of paper §2.2.    *)
 (* -------------------------------------------------------------------- *)
 
@@ -814,7 +715,6 @@ let () =
   | "ablation" -> ablation ()
   | "smoke" -> smoke ()
   | "partition" -> partition_bench ()
-  | "sat" -> sat_bench ()
   | "npn-table" ->
     npn_table (if Array.length Sys.argv > 2 then Sys.argv.(2) else "lib/exact")
   | "cost" -> cost_bench ()
@@ -824,11 +724,10 @@ let () =
     table1 ();
     table2 ();
     ablation ();
-    partition_bench ();
-    sat_bench ()
+    partition_bench ()
   | other ->
     Printf.eprintf
       "unknown bench target %s \
-       (table1|table2|micro|cuts|ablation|smoke|partition|sat|cost|npn-table|all)\n"
+       (table1|table2|micro|cuts|ablation|smoke|partition|cost|npn-table|all)\n"
       other;
     exit 1

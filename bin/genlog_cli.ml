@@ -530,8 +530,8 @@ let cec_cmd =
       if budget < 0 then C.check_full ~ladder:[] a b
       else C.check_full ~conflict_budget:budget a b
     in
-    Printf.eprintf "cec: winner = %s, conflicts = %d, rungs = %d\n%!"
-      report.C.winner report.C.conflicts report.C.rungs_used;
+    Printf.eprintf "cec: conflicts = %d, rungs = %d\n%!" report.C.conflicts
+      report.C.rungs_used;
     match result with
     | Genlog.Cec.Equivalent ->
       print_endline "EQUIVALENT";

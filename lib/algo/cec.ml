@@ -123,13 +123,12 @@ module Make (A : Network.Intf.TRAVERSABLE) (B : Network.Intf.TRAVERSABLE) = stru
   let default_ladder = [ 10_000; 100_000; 1_000_000 ]
 
   type report = {
-    winner : string;      (* config name that produced the answer *)
-    conflicts : int;      (* conflicts spent by the answering solver *)
+    conflicts : int;      (* conflicts spent by the solver *)
     rungs_used : int;     (* ladder rungs consumed (1 = first try) *)
   }
 
   (* The check's counters (conflicts, rungs) and the kernel counters of
-     the answering solver, published as [solver_*] gauges, under the "cec"
+     the solver, published as [solver_*] gauges, under the "cec"
      registry so Trace.summarize attributes the miter's work to the
      enclosing pass span. *)
   let publish_solver trace solver (rep : report) =
@@ -149,25 +148,21 @@ module Make (A : Network.Intf.TRAVERSABLE) (B : Network.Intf.TRAVERSABLE) = stru
      semantics.  Otherwise [ladder] applies — escalating attempts, then
      [Unknown]; [~ladder:[]] requests a single unbounded solve.
 
-     [config] selects the kernel (default: the modern
-     {!Satkit.Solver.default_config}).  [trace] publishes the kernel's
-     counters into the sink.
+     [trace] publishes the kernel's counters into the sink.
 
      [wall_timeout] > 0 caps the whole check in wall-clock seconds on top
      of the conflict ladder; on expiry the answer is [Unknown] (never a
      wrong answer), so deadline-bound flows keep their guards.
 
      A check never raises: if the kernel itself throws (a solver bug, or
-     an injected [sat.solve] fault), the miter is re-encoded once on the
-     legacy kernel; if that also fails, the answer is [Unknown] with
-     winner ["anomaly"].  Correctness guards built on CEC treat both the
-     same way they treat a budget exhaustion. *)
+     an injected [sat.solve] fault), the answer is [Unknown] with no rungs
+     used.  Correctness guards built on CEC treat it the same way they
+     treat a budget exhaustion. *)
   let check_full ?(trace = Obs.Trace.null) ?(conflict_budget = 0) ?ladder
-      ?(config = Satkit.Solver.default_config) ?(wall_timeout = 0.) (a : A.t)
-      (b : B.t) : result * report =
+      ?(wall_timeout = 0.) (a : A.t) (b : B.t) : result * report =
     let mismatch = A.num_pis a <> B.num_pis b || A.num_pos a <> B.num_pos b in
     if mismatch then
-      (Counterexample [||], { winner = "shape"; conflicts = 0; rungs_used = 0 })
+      (Counterexample [||], { conflicts = 0; rungs_used = 0 })
     else begin
       let rungs =
         if conflict_budget > 0 then [ conflict_budget ]
@@ -184,8 +179,8 @@ module Make (A : Network.Intf.TRAVERSABLE) (B : Network.Intf.TRAVERSABLE) = stru
           Counterexample
             (Array.map (fun v -> Satkit.Solver.model_value solver v) pi_vars)
       in
-      let single config =
-        let solver = Satkit.Solver.create ~config () in
+      let single () =
+        let solver = Satkit.Solver.create () in
         let pi_vars = encode_miter a b solver in
         let rec climb used = function
           | [] ->
@@ -204,34 +199,20 @@ module Make (A : Network.Intf.TRAVERSABLE) (B : Network.Intf.TRAVERSABLE) = stru
         in
         let r, used = climb 0 rungs in
         let rep =
-          {
-            winner = config.Satkit.Solver.name;
-            conflicts = Satkit.Solver.num_conflicts solver;
-            rungs_used = used;
-          }
+          { conflicts = Satkit.Solver.num_conflicts solver; rungs_used = used }
         in
         publish_solver trace solver rep;
         (r, rep)
       in
-      let anomaly e =
-        Printf.eprintf "cec: solver anomaly (%s); answering UNKNOWN\n%!"
-          (Printexc.to_string e);
-        (Unknown, { winner = "anomaly"; conflicts = 0; rungs_used = 0 })
-      in
-      match single config with
+      match single () with
       | r -> r
       | exception e ->
-        let legacy = Satkit.Solver.legacy_config in
-        if config.Satkit.Solver.name = legacy.Satkit.Solver.name then anomaly e
-        else begin
-          Printf.eprintf
-            "cec: solver anomaly (%s); retrying on the %s kernel\n%!"
-            (Printexc.to_string e) legacy.Satkit.Solver.name;
-          match single legacy with r -> r | exception e2 -> anomaly e2
-        end
+        Printf.eprintf "cec: solver anomaly (%s); answering UNKNOWN\n%!"
+          (Printexc.to_string e);
+        (Unknown, { conflicts = 0; rungs_used = 0 })
     end
 
-  let check ?trace ?conflict_budget ?ladder ?config ?wall_timeout (a : A.t)
-      (b : B.t) : result =
-    fst (check_full ?trace ?conflict_budget ?ladder ?config ?wall_timeout a b)
+  let check ?trace ?conflict_budget ?ladder ?wall_timeout (a : A.t) (b : B.t) :
+      result =
+    fst (check_full ?trace ?conflict_budget ?ladder ?wall_timeout a b)
 end

@@ -34,13 +34,14 @@ module Make (N : Network.Intf.COUNTED) = struct
         1.0
     in
     let metrics = Obs.Metrics.of_trace trace ~algo:"lutmap" in
+    (* the mapping's counters are registered before the cut engine's, so
+       they lead the one metrics event *)
+    let m_k = Obs.Metrics.counter metrics "k" in
+    let m_luts = Obs.Metrics.counter metrics "luts" in
+    let m_lut_depth = Obs.Metrics.counter metrics "lut_depth" in
     let h_width = Obs.Metrics.histogram metrics "lut_width" in
-    let cut_metrics = Obs.Metrics.of_trace trace ~algo:"lutmap.cuts" in
     (* wide cuts make small covers: prefer large cuts under the cap *)
-    let cuts =
-      C.enumerate net ~k ~cut_limit ~prefer:`Large ~metrics:cut_metrics ()
-    in
-    Obs.Metrics.emit cut_metrics trace;
+    let cuts = C.enumerate net ~k ~cut_limit ~prefer:`Large ~metrics () in
     let order = T.order net in
     let size = N.size net in
     let arrival = Array.make size 0.0 in
@@ -169,13 +170,9 @@ module Make (N : Network.Intf.COUNTED) = struct
         K.create_po klut (K.complement_if (N.is_complemented s) m));
     let module Dk = Depth.Make (Network.Klut) in
     let mapping = { klut; lut_count = K.num_gates klut; depth = Dk.depth klut } in
-    if Obs.Metrics.enabled metrics then
-      Obs.Metrics.add_counters metrics
-        [
-          ("k", k);
-          ("luts", mapping.lut_count);
-          ("lut_depth", mapping.depth);
-        ];
+    Obs.Metrics.set m_k k;
+    Obs.Metrics.set m_luts mapping.lut_count;
+    Obs.Metrics.set m_lut_depth mapping.depth;
     Obs.Metrics.emit metrics trace;
     mapping
 end

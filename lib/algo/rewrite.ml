@@ -87,11 +87,15 @@ module Make (N : Network.Intf.NETWORK) = struct
     let stats = { candidates = 0; substitutions = 0; gain = 0 } in
     let sampling = Obs.Trace.sampling trace in
     let metrics = Obs.Metrics.of_trace trace ~algo:"rewrite" in
+    (* the decision counters are registered before the cut engine's, so
+       they lead the pass's one metrics event *)
+    let m_tried = Obs.Metrics.counter metrics "tried" in
+    let m_accepted = Obs.Metrics.counter metrics "accepted" in
+    let m_rejected = Obs.Metrics.counter metrics "rejected" in
+    let m_gain = Obs.Metrics.counter metrics "gain" in
     let h_gain = Obs.Metrics.histogram metrics "gain" in
     let h_mffc = Obs.Metrics.histogram metrics "mffc_size" in
-    let cut_metrics = Obs.Metrics.of_trace trace ~algo:"rewrite.cuts" in
-    let cuts = C.enumerate net ~k:cut_size ~cut_limit ~metrics:cut_metrics () in
-    Obs.Metrics.emit cut_metrics trace;
+    let cuts = C.enumerate net ~k:cut_size ~cut_limit ~metrics () in
     let nodes = T.order net in
     List.iter
       (fun n ->
@@ -152,14 +156,10 @@ module Make (N : Network.Intf.NETWORK) = struct
               end)
         end)
       nodes;
-    if Obs.Metrics.enabled metrics then
-      Obs.Metrics.add_counters metrics
-        [
-          ("tried", stats.candidates);
-          ("accepted", stats.substitutions);
-          ("rejected", stats.candidates - stats.substitutions);
-          ("gain", stats.gain);
-        ];
+    Obs.Metrics.set m_tried stats.candidates;
+    Obs.Metrics.set m_accepted stats.substitutions;
+    Obs.Metrics.set m_rejected (stats.candidates - stats.substitutions);
+    Obs.Metrics.set m_gain stats.gain;
     Obs.Metrics.emit metrics trace;
     stats.gain
 end

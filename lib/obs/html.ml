@@ -74,7 +74,7 @@ let section_passes b (trace : Trace.t) (rows : Trace.pass_row list) =
       "<table><tr><th class=\"l\">#</th><th class=\"l\">flow</th>\
        <th class=\"l\">pass</th><th>gates</th><th>dG</th><th>dD</th>\
        <th>time</th><th>%</th><th>sat confl</th><th>sat props</th>\
-       <th>deg</th></tr>";
+       <th>deg</th><th class=\"l\">counters</th></tr>";
     List.iter
       (fun (r : Trace.pass_row) ->
         let pct =
@@ -85,7 +85,7 @@ let section_passes b (trace : Trace.t) (rows : Trace.pass_row list) =
              "<tr><td class=\"l\">%d</td><td class=\"l\">%s</td>\
               <td class=\"l\">%s</td><td>%d</td><td>%d</td><td>%d</td>\
               <td>%.3fs</td><td>%.1f%%</td><td>%d</td><td>%d</td>\
-              <td%s>%d</td></tr>"
+              <td%s>%d</td><td class=\"l\">%s</td></tr>"
              r.Trace.row_index (esc r.Trace.row_flow) (esc r.Trace.row_pass)
              r.Trace.gates_after
              (r.Trace.gates_after - r.Trace.gates_before)
@@ -93,7 +93,9 @@ let section_passes b (trace : Trace.t) (rows : Trace.pass_row list) =
              r.Trace.row_elapsed pct r.Trace.row_sat_conflicts
              r.Trace.row_sat_propagations
              (if r.Trace.row_degraded > 0 then " class=\"bad\"" else "")
-             r.Trace.row_degraded))
+             r.Trace.row_degraded
+             (* the same rendering as the text table's counters column *)
+             (esc (Format.asprintf "%a" Report.pp_counters r.Trace.row_counters))))
       rows;
     Buffer.add_string b "</table>"
   end

@@ -9,7 +9,7 @@ val read : in_channel -> int * Lit.t list list
 
 val read_file : string -> int * Lit.t list list
 
-val load_file : ?config:Solver.config -> string -> Solver.t
+val load_file : string -> Solver.t
 (** Read a DIMACS file straight into a fresh solver. *)
 
 val write : out_channel -> num_vars:int -> Lit.t list list -> unit

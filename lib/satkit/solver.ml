@@ -11,74 +11,27 @@
      clause database: [core] (lbd <= 2, kept forever), [tier2] (lbd <= 6,
      demoted when unused between reductions) and [local] (everything else,
      worse half deleted at each reduction).
-   - restarts: either classic Luby or glucose-style EMA restarts (restart
-     when the short-term LBD average exceeds the long-term one, blocked
-     while the trail is unusually deep), alternating focused and stable
-     phases of doubling length so phase saving can settle.
+   - glucose-style EMA restarts (restart when the short-term LBD average
+     exceeds the long-term one, blocked while the trail is unusually deep),
+     alternating with Luby-paced stable phases of doubling length so phase
+     saving can settle.
    - learnt-clause minimization by self-subsuming resolution over the
      implication graph (recursive, depth-capped).
    - inprocessing between restarts: level-0 simplification, learnt-clause
      subsumption / self-subsuming strengthening, and clause vivification
      under a propagation budget.
 
-   Behaviour is controlled by a [config] record; [legacy_config]
-   approximates the pre-modernization kernel for A/B benchmarking.
-
    The solver is used by SAT-based exact synthesis (paper §2.2.2), by
    combinational equivalence checking and by SAT sweeping. *)
 
 type result = Sat | Unsat | Unknown
 
-(* -- configuration -- *)
+(* -- parameters -- *)
 
-type restart_policy = Luby | Ema
-
-(* [Tiered] is the modern lbd-driven scheme (core / tier2 / local);
-   [Activity_half] is the MiniSat-style deletion the seed kernel used —
-   sort every learnt by activity and drop the colder half. *)
-type reduce_strategy = Tiered | Activity_half
-
-type config = {
-  name : string;
-  restart : restart_policy;
-  var_decay : float;
-  clause_decay : float;
-  minimize : bool;               (* learnt-clause minimization *)
-  inprocess : bool;              (* subsumption + vivification rounds *)
-  blockers : bool;               (* blocker-literal fast path in propagate *)
-  reduce : reduce_strategy;
-  reduce_interval : int;         (* conflicts between clause-DB reductions *)
-  inprocess_interval : int;      (* conflicts between inprocessing rounds *)
-}
-
-let default_config =
-  {
-    name = "modern";
-    restart = Ema;
-    var_decay = 0.95;
-    clause_decay = 0.999;
-    minimize = true;
-    inprocess = true;
-    blockers = true;
-    reduce = Tiered;
-    reduce_interval = 2000;
-    inprocess_interval = 6000;
-  }
-
-(* The pre-modernization kernel, as close as the new data structures allow:
-   Luby restarts, activity-sorted deletion, no minimization, no
-   inprocessing, no blocker fast path.  Used by `bench sat` for
-   before/after comparisons and by CEC's fault-recovery retry. *)
-let legacy_config =
-  {
-    default_config with
-    name = "legacy";
-    restart = Luby;
-    minimize = false;
-    inprocess = false;
-    blockers = false;
-    reduce = Activity_half;
-  }
+let var_decay_factor = 0.95
+let clause_decay_factor = 0.999
+let reduce_interval = 2000             (* conflicts between clause-DB reductions *)
+let inprocess_interval = 6000          (* conflicts between inprocessing rounds *)
 
 (* -- clauses -- *)
 
@@ -156,7 +109,6 @@ let wlist_push w c b =
   w.wn <- w.wn + 1
 
 type t = {
-  config : config;
   mutable num_vars : int;
   clauses : cvec;                        (* original problem clauses *)
   learnts : cvec;
@@ -216,9 +168,8 @@ type t = {
   lbd_hist : int array;              (* learn-time LBD, bucket = min lbd 15 *)
 }
 
-let create ?(config = default_config) () =
+let create () =
   {
-    config;
     num_vars = 0;
     clauses = cvec_make ();
     learnts = cvec_make ();
@@ -255,7 +206,7 @@ let create ?(config = default_config) () =
     stab_len = 1000;
     stab_next = 1000;
     stable_idx = 0;
-    reduce_limit = config.reduce_interval;
+    reduce_limit = reduce_interval;
     last_reduce = 0;
     last_inprocess = 0;
     simp_head = 0;
@@ -271,7 +222,6 @@ let create ?(config = default_config) () =
     lbd_hist = Array.make 16 0;
   }
 
-let config t = t.config
 let num_vars t = t.num_vars
 let num_clauses t = t.clauses.cn
 let num_conflicts t = t.conflicts
@@ -398,7 +348,7 @@ let var_bump t v =
   end;
   heap_decrease t v
 
-let var_decay t = t.var_inc <- t.var_inc /. t.config.var_decay
+let var_decay t = t.var_inc <- t.var_inc /. var_decay_factor
 
 let cla_bump t (c : clause) =
   c.activity <- c.activity +. t.cla_inc;
@@ -407,7 +357,7 @@ let cla_bump t (c : clause) =
     t.cla_inc <- t.cla_inc *. 1e-20
   end
 
-let cla_decay t = t.cla_inc <- t.cla_inc /. t.config.clause_decay
+let cla_decay t = t.cla_inc <- t.cla_inc /. clause_decay_factor
 
 (* -- LBD: number of distinct decision levels among a clause's literals -- *)
 
@@ -489,7 +439,6 @@ let rebuild_watches t =
    satisfied and is skipped without touching its literal array. *)
 let propagate t =
   let conflict = ref None in
-  let use_blockers = t.config.blockers in
   while !conflict == None && t.qhead < t.trail_size do
     let p = t.trail.(t.qhead) in
     t.qhead <- t.qhead + 1;
@@ -501,7 +450,7 @@ let propagate t =
     while !i < n do
       let c = w.wcl.(!i) in
       let blocker = w.wbl.(!i) in
-      if use_blockers && value_lit t blocker = 1 then begin
+      if value_lit t blocker = 1 then begin
         (* blocker satisfied: keep the watcher untouched *)
         w.wcl.(!j) <- c;
         w.wbl.(!j) <- blocker;
@@ -516,8 +465,7 @@ let propagate t =
           lits.(1) <- false_lit
         end;
         let first = lits.(0) in
-        if (not use_blockers || first <> blocker) && value_lit t first = 1
-        then begin
+        if first <> blocker && value_lit t first = 1 then begin
           (* satisfied by the other watch: make it the new blocker *)
           w.wcl.(!j) <- c;
           w.wbl.(!j) <- first;
@@ -645,14 +593,12 @@ let analyze t confl =
   (* self-subsuming minimization: drop literals whose falsity is already
      implied by the remaining clause *)
   let kept =
-    if t.config.minimize then
-      List.filter
-        (fun q ->
-          let keep = not (lit_redundant t (Lit.var q) 0) in
-          if not keep then t.minimized_lits <- t.minimized_lits + 1;
-          keep)
-        collected
-    else collected
+    List.filter
+      (fun q ->
+        let keep = not (lit_redundant t (Lit.var q) 0) in
+        if not keep then t.minimized_lits <- t.minimized_lits + 1;
+        keep)
+      collected
   in
   let learnt_lits = Array.of_list (Lit.neg !p :: kept) in
   (* clear seen marks: collected literals (kept or dropped) plus any interior
@@ -716,35 +662,11 @@ let locked t c =
   | Some r -> r == c && value_lit t c.lits.(0) = 1
   | None -> false
 
-(* Seed-style reduction: every unlocked learnt competes on activity alone,
-   and the colder half dies (plus anything never bumped).  Kept as the
-   [Activity_half] config point so before/after benchmarks compare the
-   deletion policies honestly. *)
-let reduce_db_activity t =
-  let cands = ref [] in
-  let n = ref 0 in
-  cvec_iter
-    (fun c ->
-      if (not c.dead) && not (locked t c) then begin
-        cands := c :: !cands;
-        incr n
-      end)
-    t.learnts;
-  let arr = Array.of_list !cands in
-  Array.sort
-    (fun (a : clause) (b : clause) -> compare a.activity b.activity)
-    arr;
-  Array.iteri
-    (fun i (c : clause) ->
-      if i < !n / 2 || c.activity = 0.0 then c.dead <- true)
-    arr;
-  cvec_compact t.learnts;
-  rebuild_watches t
-
 (* Tiered reduction: core clauses are kept forever, tier2 clauses are
    demoted to local when unused since the previous reduction, and the worse
    half of the local tier (high lbd, then low activity) is deleted. *)
-let reduce_db_tiered t =
+let reduce_db t =
+  t.reduces <- t.reduces + 1;
   cvec_iter
     (fun c ->
       if c.tier = tier_two && not (locked t c) then begin
@@ -772,12 +694,6 @@ let reduce_db_tiered t =
   done;
   cvec_compact t.learnts;
   rebuild_watches t
-
-let reduce_db t =
-  t.reduces <- t.reduces + 1;
-  match t.config.reduce with
-  | Tiered -> reduce_db_tiered t
-  | Activity_half -> reduce_db_activity t
 
 (* -- level-0 simplification -- *)
 
@@ -1075,7 +991,7 @@ type outcome = O_sat | O_unsat | O_restart | O_budget | O_expired
 (* Search below the assumption (root) level: backtracking never unassigns
    the assumptions, and a conflict at or below the root level means UNSAT
    under the current assumptions.  [restart_limit] > 0 gives a fixed-size
-   restart (Luby or stable phase); 0 means EMA-driven.  A wall-clock
+   restart (a Luby-paced stable phase); 0 means EMA-driven.  A wall-clock
    [deadline] > 0 is polled every 256 steps, which keeps the syscall off
    the hot path. *)
 let search t ~root_level ~restart_limit ~budget ~deadline =
@@ -1112,7 +1028,7 @@ let search t ~root_level ~restart_limit ~budget ~deadline =
         cla_decay t;
         if t.conflicts - t.last_reduce >= t.reduce_limit then begin
           t.last_reduce <- t.conflicts;
-          t.reduce_limit <- t.reduce_limit + (t.config.reduce_interval / 4);
+          t.reduce_limit <- t.reduce_limit + (reduce_interval / 4);
           reduce_db t
         end
       end
@@ -1152,10 +1068,7 @@ let solve ?(conflict_budget = 0) ?(assumptions = []) ?(deadline = 0.) t =
   else begin
     cancel_until t 0;
     (* level-0 housekeeping before assumptions go on the trail *)
-    if
-      t.config.inprocess
-      && t.conflicts - t.last_inprocess >= t.config.inprocess_interval
-    then begin
+    if t.conflicts - t.last_inprocess >= inprocess_interval then begin
       t.last_inprocess <- t.conflicts;
       inprocess t
     end
@@ -1187,21 +1100,17 @@ let solve ?(conflict_budget = 0) ?(assumptions = []) ?(deadline = 0.) t =
         let budget =
           if conflict_budget > 0 then start_conflicts + conflict_budget else 0
         in
-        let rec restart_loop i =
+        let rec restart_loop () =
+          (* alternate focused (EMA) and stable (Luby-paced) phases of
+             doubling length so saved phases can settle *)
+          if t.conflicts >= t.stab_next then begin
+            t.stab_stable <- not t.stab_stable;
+            t.stab_len <- 2 * t.stab_len;
+            t.stab_next <- t.conflicts + t.stab_len
+          end;
           let restart_limit =
-            match t.config.restart with
-            | Luby -> int_of_float (luby 2.0 i *. 100.0)
-            | Ema ->
-              (* alternate focused (EMA) and stable (Luby-paced) phases of
-                 doubling length so saved phases can settle *)
-              if t.conflicts >= t.stab_next then begin
-                t.stab_stable <- not t.stab_stable;
-                t.stab_len <- 2 * t.stab_len;
-                t.stab_next <- t.conflicts + t.stab_len
-              end;
-              if t.stab_stable then
-                int_of_float (luby 2.0 t.stable_idx *. 512.0)
-              else 0
+            if t.stab_stable then int_of_float (luby 2.0 t.stable_idx *. 512.0)
+            else 0
           in
           match search t ~root_level ~restart_limit ~budget ~deadline with
           | O_sat -> Sat
@@ -1209,20 +1118,19 @@ let solve ?(conflict_budget = 0) ?(assumptions = []) ?(deadline = 0.) t =
           | O_budget | O_expired -> Unknown
           | O_restart ->
             t.restarts <- t.restarts + 1;
-            if t.config.restart = Ema && t.stab_stable then
-              t.stable_idx <- t.stable_idx + 1;
+            if t.stab_stable then t.stable_idx <- t.stable_idx + 1;
             (* inprocess between restarts, but only when nothing is pinned
                on the trail by assumptions *)
             if
-              root_level = 0 && t.config.inprocess
-              && t.conflicts - t.last_inprocess >= t.config.inprocess_interval
+              root_level = 0
+              && t.conflicts - t.last_inprocess >= inprocess_interval
             then begin
               t.last_inprocess <- t.conflicts;
               inprocess t
             end;
-            if not t.ok then Unsat else restart_loop (i + 1)
+            if not t.ok then Unsat else restart_loop ()
         in
-        let r = restart_loop 0 in
+        let r = restart_loop () in
         (match r with
         | Sat -> r (* keep the model; caller reads it before further solving *)
         | Unsat | Unknown ->

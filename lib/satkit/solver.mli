@@ -7,9 +7,8 @@
     glucose-style EMA restarts with stabilization phases, learnt-clause
     minimization by self-subsuming resolution, and periodic inprocessing
     (level-0 simplification, learnt-clause subsumption, vivification).
-
-    Behaviour is parameterized by a {!config}: {!default_config} is the
-    modern kernel, {!legacy_config} the pre-modernization baseline.
+    Every parameter (decay factors, restart pacing, LBD tier bounds,
+    reduction and inprocessing cadences) is a constant of the kernel.
 
     Used by SAT-based exact synthesis (paper §2.2.2), combinational
     equivalence checking and SAT sweeping. *)
@@ -18,41 +17,9 @@ type t
 
 type result = Sat | Unsat | Unknown
 
-(** {1 Configuration} *)
-
-type restart_policy = Luby | Ema
-
-type reduce_strategy =
-  | Tiered         (** lbd-driven core/tier2/local clause database *)
-  | Activity_half  (** MiniSat-style: drop the lower-activity half *)
-
-type config = {
-  name : string;
-  restart : restart_policy;
-  var_decay : float;
-  clause_decay : float;
-  minimize : bool;     (** learnt-clause minimization *)
-  inprocess : bool;    (** subsumption + vivification between restarts *)
-  blockers : bool;     (** blocker-literal fast path in propagation *)
-  reduce : reduce_strategy;
-  reduce_interval : int;
-      (** conflicts between learnt-clause-database reductions *)
-  inprocess_interval : int;  (** conflicts between inprocessing rounds *)
-}
-
-val default_config : config
-(** The modern kernel: EMA restarts, minimization, inprocessing. *)
-
-val legacy_config : config
-(** Approximates the pre-modernization kernel (Luby restarts,
-    activity-sorted clause deletion, no minimization, no inprocessing) for
-    A/B benchmarking. *)
-
 (** {1 Solving} *)
 
-val create : ?config:config -> unit -> t
-
-val config : t -> config
+val create : unit -> t
 
 val new_var : t -> int
 (** Allocate the next variable; variables are dense integers from 0. *)

@@ -316,7 +316,7 @@ let test_network_cost_area_is_seed_order () =
   Alcotest.(check int) "depth" (Dp.depth a) d
 
 let suite =
-  List.map QCheck_alcotest.to_alcotest
+  List.map Seed.to_alcotest
     (monoid_props @ eval_is_fold_props @ eval_is_fold_mig_props
    @ freed_is_mffc_mass_props @ added_is_eval_delta_props @ telescoping_props
    @ [ depth_never_worsens ])

@@ -173,8 +173,8 @@ let suite =
     Alcotest.test_case "mux" `Quick test_mux;
     Alcotest.test_case "database caching" `Quick test_database_caching;
     Alcotest.test_case "decode into xag" `Quick test_decode_into_aig;
-    QCheck_alcotest.to_alcotest prop_synth_sound;
-    QCheck_alcotest.to_alcotest prop_synth_sound_mig;
+    Seed.to_alcotest prop_synth_sound;
+    Seed.to_alcotest prop_synth_sound_mig;
   ]
 
 (* -- additional coverage -- *)
@@ -227,7 +227,7 @@ let test_chain_pp () =
 let extra_suite =
   [
     Alcotest.test_case "decode into mig" `Quick test_decode_into_mig;
-    QCheck_alcotest.to_alcotest prop_database_decode_sound;
+    Seed.to_alcotest prop_database_decode_sound;
     Alcotest.test_case "chain pp" `Quick test_chain_pp;
   ]
 

@@ -276,10 +276,10 @@ let extra_suite =
     Alcotest.test_case "blif constant po" `Quick test_blif_constant_po;
     Alcotest.test_case "aiger all benchmarks" `Slow test_aiger_all_benchmarks;
     Alcotest.test_case "bench writer klut" `Quick test_bench_writer_klut;
-    QCheck_alcotest.to_alcotest prop_aiger_roundtrip;
-    QCheck_alcotest.to_alcotest prop_blif_roundtrip;
-    QCheck_alcotest.to_alcotest prop_bench_roundtrip;
-    QCheck_alcotest.to_alcotest prop_bench_roundtrip_klut;
+    Seed.to_alcotest prop_aiger_roundtrip;
+    Seed.to_alcotest prop_blif_roundtrip;
+    Seed.to_alcotest prop_bench_roundtrip;
+    Seed.to_alcotest prop_bench_roundtrip_klut;
     Alcotest.test_case "bench reader mig" `Quick test_bench_reader_mig;
     Alcotest.test_case "bench reader parse error" `Quick
       test_bench_reader_rejects_garbage;

@@ -8,6 +8,7 @@ module T = Obs.Trace
 module F = Flow.Engine.Make (Aig)
 module S = Lsgen.Suite.Make (Aig)
 module Copy = Convert.Make (Aig) (Aig)
+module L = Algo.Lutmap.Make (Aig)
 
 (* Run compress_lite on [ctrl] under a fresh trace.  Returns the gate
    count the flow started from (the copied network's — the copy sweeps
@@ -182,9 +183,11 @@ let test_jsonl_rendering () =
 
 (* Each pass's metrics event is emitted inside its enclosing span, and
    [summarize] attaches its counters; every optimization pass reports at
-   least one counter. *)
+   least one counter.  Rewrite and lutmap hand their own registry to the
+   cut engine, so each call emits exactly one metrics event, decision
+   counters first and the cut engine's after them. *)
 let test_counters_attached () =
-  let _, _, trace = traced_run () in
+  let _, optimized, trace = traced_run () in
   let rows = T.summarize trace in
   List.iter
     (fun (r : T.pass_row) ->
@@ -193,7 +196,42 @@ let test_counters_attached () =
           (r.T.row_pass ^ " has counters")
           true
           (r.T.row_counters <> []))
-    rows
+    rows;
+  let check_one_event what events algo first =
+    match
+      List.filter_map
+        (function T.Metrics { algo = a; counters; _ } -> Some (a, counters) | _ -> None)
+        events
+    with
+    | [ (a, counters) ] ->
+      Alcotest.(check string) (what ^ ": algo") algo a;
+      Alcotest.(check string) (what ^ ": leading counter") first
+        (fst (List.hd counters));
+      Alcotest.(check bool) (what ^ ": carries the cut counters") true
+        (List.mem_assoc "offered" counters)
+    | evs -> Alcotest.failf "%s: %d metrics events, expected 1" what (List.length evs)
+  in
+  (* the events of each rw/rwz span *)
+  let rec spans acc = function
+    | T.Pass_begin { pass = ("rw" | "rwz") as pass; index; _ } :: rest ->
+      let rec body inner = function
+        | T.Pass_end _ :: rest -> (List.rev inner, rest)
+        | e :: rest -> body (e :: inner) rest
+        | [] -> (List.rev inner, [])
+      in
+      let events, rest = body [] rest in
+      spans ((Printf.sprintf "%s#%d" pass index, events) :: acc) rest
+    | _ :: rest -> spans acc rest
+    | [] -> List.rev acc
+  in
+  let rewrites = spans [] (T.events trace) in
+  Alcotest.(check int) "rw and rwz spans" 2 (List.length rewrites);
+  List.iter
+    (fun (what, events) -> check_one_event what events "rewrite" "tried")
+    rewrites;
+  let map_trace = T.create ~flow:"aig" () in
+  ignore (L.map optimized ~trace:map_trace ~k:6 ());
+  check_one_event "lutmap" (T.events map_trace) "lutmap" "k"
 
 (* The portfolio merges one child sink per representation; events from
    different domains stay per-flow contiguous and per-flow monotonic. *)

@@ -1,61 +1,7 @@
-(* The typed run configuration: builder defaults, the environment
-   override layer, and the JSON round-trip that makes it a job spec. *)
+(* The typed run configuration: builder defaults and the environment
+   override layer. *)
 
 module RC = Flow.Run_config
-
-let cfg =
-  Alcotest.testable (fun fmt c -> Format.pp_print_string fmt (RC.to_json c)) ( = )
-
-let test_json_round_trip () =
-  let c =
-    RC.make ~representation:RC.Xmg ~script:"bz; rw; rf" ~trace_path:"t.jsonl"
-      ~stats:true ~sample:10 ~partition:500 ~jobs:3 ~cost:"depth"
-      ~timeout:1.5 ~retries:2 ~faults:"parmap.job:0.1,sat.solve:1:2" ()
-  in
-  match RC.of_json_string (RC.to_json c) with
-  | Ok c' -> Alcotest.check cfg "round-trips" c c'
-  | Error e -> Alcotest.fail e
-
-let test_json_defaults () =
-  (* missing fields fall back to the builder defaults *)
-  match RC.of_json_string "{}" with
-  | Ok c -> Alcotest.check cfg "empty object is default" RC.default c
-  | Error e -> Alcotest.fail e
-
-let test_json_rejects_unknown () =
-  (match RC.of_json_string "{\"representation\":\"zzz\"}" with
-  | Ok _ -> Alcotest.fail "accepted unknown representation"
-  | Error _ -> ());
-  (match RC.of_json_string "{\"cost\":\"bogus\"}" with
-  | Ok _ -> Alcotest.fail "accepted unknown cost spec"
-  | Error _ -> ());
-  match RC.of_json_string "[1,2]" with
-  | Ok _ -> Alcotest.fail "accepted non-object"
-  | Error _ -> ()
-
-(* A job spec from before the SAT portfolio, the kernel switch, the
-   on-disk exact-synthesis store and the unread CEC budget were removed:
-   the retired "sat_jobs", "kernel", "cache" and "budget" keys are
-   ignored, every other field loads, and the result round-trips. *)
-let test_json_retired_knobs () =
-  let old_spec =
-    "{\"representation\":\"xmg\",\"script\":\"bz; rw; rf\",\"trace\":\"t.jsonl\",\
-     \"stats\":true,\"sample\":10,\"partition\":500,\"jobs\":3,\"sat_jobs\":2,\
-     \"budget\":1000,\"kernel\":\"legacy\",\"cost\":\"depth\",\
-     \"cache\":\"/tmp/store.glxs\",\"timeout\":1.5,\"retries\":2,\"faults\":null}"
-  in
-  let expected =
-    RC.make ~representation:RC.Xmg ~script:"bz; rw; rf" ~trace_path:"t.jsonl"
-      ~stats:true ~sample:10 ~partition:500 ~jobs:3 ~cost:"depth"
-      ~timeout:1.5 ~retries:2 ()
-  in
-  match RC.of_json_string old_spec with
-  | Error e -> Alcotest.fail e
-  | Ok c -> (
-    Alcotest.check cfg "retired knobs ignored" expected c;
-    match RC.of_json_string (RC.to_json c) with
-    | Ok c' -> Alcotest.check cfg "round-trips" c c'
-    | Error e -> Alcotest.fail e)
 
 let with_env kvs f =
   let saved = List.map (fun (k, _) -> (k, Sys.getenv_opt k)) kvs in
@@ -98,13 +44,7 @@ let test_env_cost () =
     [ ("GENLOG_COST", "bogus") ]
     (fun () ->
       (* invalid specs are ignored, like unparsable integers *)
-      Alcotest.(check string) "bad cost ignored" "area" (RC.of_env ()).RC.cost);
-  (* syntax-only validation: a weights spec round-trips through JSON even
-     when the file is not present on the consuming machine *)
-  let c = RC.make ~cost:"weights:/nonexistent/w.txt" () in
-  match RC.of_json_string (RC.to_json c) with
-  | Ok c' -> Alcotest.check cfg "weights spec round-trips" c c'
-  | Error e -> Alcotest.fail e
+      Alcotest.(check string) "bad cost ignored" "area" (RC.of_env ()).RC.cost)
 
 let test_env_layering () =
   (* env overrides defaults, explicit values override env *)
@@ -129,11 +69,6 @@ let test_representation_strings () =
 
 let suite =
   [
-    Alcotest.test_case "json round-trip" `Quick test_json_round_trip;
-    Alcotest.test_case "json defaults" `Quick test_json_defaults;
-    Alcotest.test_case "json rejects unknown" `Quick test_json_rejects_unknown;
-    Alcotest.test_case "json ignores retired knobs" `Quick
-      test_json_retired_knobs;
     Alcotest.test_case "env overrides" `Quick test_env_overrides;
     Alcotest.test_case "env cost spec" `Quick test_env_cost;
     Alcotest.test_case "env layering" `Quick test_env_layering;

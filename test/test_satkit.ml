@@ -1,5 +1,5 @@
-(* Tests for the CDCL SAT solver, including a brute-force cross-check on
-   random small CNFs. *)
+(* Tests for the CDCL SAT solver, including cross-checks against the
+   reference CDCL and brute force on random CNFs. *)
 
 open Satkit
 
@@ -65,87 +65,55 @@ let test_assumptions () =
   Alcotest.(check bool) "still sat without assumptions" true
     (Solver.solve s = Solver.Sat)
 
-(* brute force evaluation of a CNF over [n] variables *)
-let brute_force_sat n cnf =
-  let rec try_assignment a =
-    if a >= 1 lsl n then false
-    else
-      let clause_ok clause =
-        List.exists
-          (fun l ->
-            let v = Lit.var l in
-            let value = (a lsr v) land 1 = 1 in
-            if Lit.is_neg l then not value else value)
-          clause
-      in
-      if List.for_all clause_ok cnf then true else try_assignment (a + 1)
-  in
-  try_assignment 0
+(* A random 3-CNF over [n] variables near the satisfiability threshold
+   (about 4.26 clauses per variable), where SAT and UNSAT are about
+   equally likely and the search is hardest. *)
+let random_3sat rng n =
+  let num_clauses = (426 * n / 100) + Random.State.int rng 5 - 2 in
+  List.init num_clauses (fun _ ->
+      List.init 3 (fun _ -> lit (Random.State.int rng n) (Random.State.bool rng)))
 
+(* Solve [cnf] under [assumptions] and check the answer: a model must
+   satisfy the clauses and the assumptions, an Unsat must be confirmed by
+   the reference CDCL.  Unknown (no budget was set) is always wrong. *)
+let agrees_with_reference ?(assumptions = []) s cnf =
+  let units = List.map (fun l -> [ l ]) assumptions in
+  match Solver.solve ~assumptions s with
+  | Solver.Sat ->
+    let model = Array.init (Solver.num_vars s) (Solver.model_value s) in
+    Reference_sat.satisfies model (cnf @ units)
+  | Solver.Unsat -> Reference_sat.solve (cnf @ units) = Reference_sat.Unsat
+  | Solver.Unknown -> false
+
+(* Small enough to enumerate, so brute force also checks the reference. *)
 let prop_random_3sat =
   QCheck.Test.make ~name:"random 3-SAT agrees with brute force" ~count:120
-    QCheck.(make Gen.(pair (int_range 3 8) (int_bound 1000000)))
+    QCheck.(make Gen.(pair (int_range 5 16) (int_bound 1000000)))
     (fun (n, seed) ->
-      let rng = Random.State.make [| seed |] in
-      let num_clauses = 2 + Random.State.int rng (4 * n) in
-      let cnf =
-        List.init num_clauses (fun _ ->
-            List.init 3 (fun _ ->
-                lit (Random.State.int rng n) (Random.State.bool rng)))
-      in
+      let cnf = random_3sat (Random.State.make [| seed |]) n in
       let s = Solver.create () in
       List.iter (Solver.add_clause s) cnf;
-      let expected = brute_force_sat n cnf in
-      match Solver.solve s with
-      | Solver.Sat ->
-        (* verify the model actually satisfies the formula *)
-        expected
-        && List.for_all
-             (fun clause ->
-               List.exists
-                 (fun l ->
-                   let v = Solver.model_value s (Lit.var l) in
-                   if Lit.is_neg l then not v else v)
-                 clause)
-             cnf
-      | Solver.Unsat -> not expected
-      | Solver.Unknown -> false)
+      let reference_sat =
+        match Reference_sat.solve ~num_vars:n cnf with
+        | Reference_sat.Sat m -> Reference_sat.satisfies m cnf
+        | Reference_sat.Unsat -> false
+      in
+      agrees_with_reference s cnf
+      && reference_sat = Reference_sat.brute_force n cnf)
 
 let prop_random_3sat_assumptions =
   QCheck.Test.make
-    ~name:"random 3-SAT with assumptions agrees with brute force" ~count:120
-    QCheck.(make Gen.(pair (int_range 3 7) (int_bound 1000000)))
+    ~name:"random 3-SAT with assumptions agrees with the reference" ~count:120
+    QCheck.(make Gen.(pair (int_range 5 40) (int_bound 1000000)))
     (fun (n, seed) ->
       let rng = Random.State.make [| seed |] in
-      let num_clauses = 2 + Random.State.int rng (4 * n) in
-      let cnf =
-        List.init num_clauses (fun _ ->
-            List.init 3 (fun _ ->
-                lit (Random.State.int rng n) (Random.State.bool rng)))
-      in
+      let cnf = random_3sat rng n in
       let assumptions =
         List.init 2 (fun _ -> lit (Random.State.int rng n) (Random.State.bool rng))
       in
       let s = Solver.create () in
       List.iter (Solver.add_clause s) cnf;
-      (* brute force over the CNF plus the assumptions as unit clauses *)
-      let expected =
-        brute_force_sat n (cnf @ List.map (fun l -> [ l ]) assumptions)
-      in
-      match Solver.solve ~assumptions s with
-      | Solver.Sat ->
-        (* the model must satisfy both the formula and the assumptions *)
-        expected
-        && List.for_all
-             (fun clause ->
-               List.exists
-                 (fun l ->
-                   let v = Solver.model_value s (Lit.var l) in
-                   if Lit.is_neg l then not v else v)
-                 clause)
-             (cnf @ List.map (fun l -> [ l ]) assumptions)
-      | Solver.Unsat -> not expected
-      | Solver.Unknown -> false)
+      agrees_with_reference ~assumptions s cnf)
 
 let test_repeated_solves_with_assumptions () =
   (* the same solver instance must answer a sequence of assumption queries
@@ -185,51 +153,21 @@ let test_conflict_budget () =
   | Solver.Unknown | Solver.Unsat -> ()
   | Solver.Sat -> Alcotest.fail "php(9,8) cannot be SAT"
 
-(* An intentionally over-eager configuration: reduction and inprocessing
-   fire orders of magnitude more often than the defaults, so minimization,
-   subsumption, vivification and clause deletion all churn on even tiny
-   instances.  Any unsoundness in those paths shows up as a wrong answer
-   or an invalid model below. *)
-let aggressive_config =
-  {
-    Solver.default_config with
-    Solver.name = "aggressive";
-    reduce_interval = 60;
-    inprocess_interval = 40;
-  }
-
+(* Learnt-clause minimization runs on every conflict, so an unsound
+   minimization shows up here as a wrong answer or an invalid model.
+   Instances this small finish in far fewer conflicts than the kernel's
+   reduction and inprocessing cadences; the php(9,8) snapshot test in
+   test_telemetry.ml is the one that reaches those. *)
 let prop_minimization_preserves_models =
   QCheck.Test.make
     ~name:"minimization/inprocessing never drops satisfying assignments"
     ~count:150
     QCheck.(make Gen.(pair (int_range 6 11) (int_bound 1000000)))
     (fun (n, seed) ->
-      let rng = Random.State.make [| seed + 7 |] in
-      let num_clauses = (3 * n) + Random.State.int rng (3 * n) in
-      let cnf =
-        List.init num_clauses (fun _ ->
-            List.init 3 (fun _ ->
-                lit (Random.State.int rng n) (Random.State.bool rng)))
-      in
-      let expected = brute_force_sat n cnf in
-      List.for_all
-        (fun config ->
-          let s = Solver.create ~config () in
-          List.iter (Solver.add_clause s) cnf;
-          match Solver.solve s with
-          | Solver.Sat ->
-            expected
-            && List.for_all
-                 (fun clause ->
-                   List.exists
-                     (fun l ->
-                       let v = Solver.model_value s (Lit.var l) in
-                       if Lit.is_neg l then not v else v)
-                     clause)
-                 cnf
-          | Solver.Unsat -> not expected
-          | Solver.Unknown -> false)
-        [ aggressive_config; Solver.legacy_config ])
+      let cnf = random_3sat (Random.State.make [| seed + 7 |]) n in
+      let s = Solver.create () in
+      List.iter (Solver.add_clause s) cnf;
+      agrees_with_reference s cnf)
 
 let suite =
   [
@@ -239,8 +177,8 @@ let suite =
     Alcotest.test_case "pigeonhole" `Quick test_pigeonhole;
     Alcotest.test_case "assumptions" `Quick test_assumptions;
     Alcotest.test_case "conflict budget" `Quick test_conflict_budget;
-    QCheck_alcotest.to_alcotest prop_random_3sat;
-    QCheck_alcotest.to_alcotest prop_random_3sat_assumptions;
+    Seed.to_alcotest prop_random_3sat;
+    Seed.to_alcotest prop_random_3sat_assumptions;
     Alcotest.test_case "repeated assumption solves" `Quick test_repeated_solves_with_assumptions;
-    QCheck_alcotest.to_alcotest prop_minimization_preserves_models;
+    Seed.to_alcotest prop_minimization_preserves_models;
   ]

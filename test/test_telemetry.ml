@@ -1,5 +1,5 @@
 (* Tests for the solver-depth telemetry layer: Solver snapshot
-   monotonicity under both kernels, per-pass SAT aggregation in
+   monotonicity, per-pass SAT aggregation in
    Trace.summarize, and the HTML dashboard's golden structure. *)
 
 module T = Obs.Trace
@@ -23,7 +23,7 @@ let add_php s n =
     done
   done
 
-(* -- snapshot monotonicity, both kernels -- *)
+(* -- snapshot monotonicity -- *)
 
 let monotone_fields (a : Solver.snapshot) (b : Solver.snapshot) =
   [
@@ -40,9 +40,9 @@ let monotone_fields (a : Solver.snapshot) (b : Solver.snapshot) =
     ("vivified", a.Solver.s_vivified, b.Solver.s_vivified);
   ]
 
-let check_snapshot_monotone config name =
-  let s = Solver.create ~config () in
-  add_php s 6;
+let check_snapshot_monotone n name =
+  let s = Solver.create () in
+  add_php s n;
   let s0 = Solver.snapshot s in
   (* fresh solver: every counter starts at zero *)
   List.iter
@@ -80,13 +80,20 @@ let check_snapshot_monotone config name =
       Alcotest.(check bool) (name ^ ": stats carries " ^ k) true
         (List.mem k labels))
     [ "conflicts"; "propagations"; "learned_total"; "lbd_glue"; "lbd_mid";
-      "lbd_high" ]
+      "lbd_high" ];
+  s1
 
-let test_snapshot_modern () =
-  check_snapshot_monotone Solver.default_config "modern"
+let test_snapshot_modern () = ignore (check_snapshot_monotone 6 "php(7,6)")
 
-let test_snapshot_legacy () =
-  check_snapshot_monotone Solver.legacy_config "legacy"
+(* php(9,8) takes enough conflicts (about 14k) for the kernel's clause-DB
+   reduction and inprocessing to run, so their counters move too and the
+   UNSAT answer is reached through both paths. *)
+let test_snapshot_reduce_inprocess () =
+  let s1 = check_snapshot_monotone 8 "php(9,8)" in
+  Alcotest.(check bool) "reductions ran" true (s1.Solver.s_reduces > 0);
+  Alcotest.(check bool) "inprocessing ran" true
+    (s1.Solver.s_inprocess_rounds > 0 && s1.Solver.s_subsumed > 0
+    && s1.Solver.s_vivified > 0)
 
 (* Hand-built event stream: gauges from the span's own flow and from child
    flows must fold into the nearest open ancestor span. *)
@@ -186,6 +193,11 @@ let test_html_structure () =
             gauges = [ ("solver_conflicts", 4); ("solver_propagations", 9) ];
             hists = [];
           };
+        T.Metrics
+          {
+            t = 0.15; flow = "aig"; algo = "rewrite";
+            counters = [ ("tried", 5); ("accepted", 2) ]; gauges = []; hists = [];
+          };
         T.Pass_end
           { t = 0.2; flow = "aig"; pass = "rw"; index = 0; gates = 8; depth = 3;
             elapsed = 0.2; gc = T.gc_zero };
@@ -213,6 +225,16 @@ let test_html_structure () =
   Alcotest.(check bool) "sat conflicts shown" true
     (contains "conflicts <b>4</b>");
   Alcotest.(check bool) "benchmark row shown" true (contains "voter");
+  (* the per-pass table carries the counters column, rendered like the
+     text table's *)
+  Alcotest.(check bool) "counters column" true
+    (contains "<th class=\"l\">counters</th>");
+  Alcotest.(check bool) "counters rendered as in pp_trace" true
+    (contains
+       (Format.asprintf "<td class=\"l\">%a</td>" Obs.Report.pp_counters
+          [ ("rewrite", [ ("tried", 5); ("accepted", 2) ]) ]));
+  Alcotest.(check bool) "counters text" true
+    (contains "rewrite(tried=5,accepted=2)");
   (* self-contained: no external requests of any kind *)
   List.iter
     (fun banned ->
@@ -223,8 +245,8 @@ let suite =
   [
     Alcotest.test_case "snapshot monotone (modern kernel)" `Quick
       test_snapshot_modern;
-    Alcotest.test_case "snapshot monotone (legacy kernel)" `Quick
-      test_snapshot_legacy;
+    Alcotest.test_case "snapshot monotone (reduction + inprocessing)" `Quick
+      test_snapshot_reduce_inprocess;
     Alcotest.test_case "summarize attributes SAT work to spans" `Quick
       test_summarize_sat_attribution;
     Alcotest.test_case "empty trace renders gracefully" `Quick
