@@ -72,7 +72,12 @@ module Make (N : Network.Intf.NETWORK) = struct
       end
       else begin
         let added = eng.Co.added net ~mark ~root in
+        (* the root survives the substitution: hold a reference on it so
+           that a root structural hashing resolved to a node of [n]'s MFFC
+           (and that node's cone) is not counted as freed *)
+        ignore (N.incr_ref net root);
         let freed = eng.Co.freed net n in
+        ignore (N.decr_ref net root);
         let gain = freed - added in
         N.take_out_if_dead net root;
         Some gain
